@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <numeric>
 #include <queue>
 #include <unordered_map>
 
+#include "core/affinity_forest.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "support/check.h"
@@ -295,52 +297,11 @@ void merge_to_count(std::vector<Cluster>& clusters, std::size_t target,
 }
 
 // ---------------------------------------------------------------------------
-// Affinity-forest kernel (DESIGN.md §15): the scalable replacement for
-// the greedy merge heap.  Candidate edges between clusters come from the
-// data-chunk inverted index (only pairs sharing a data chunk can have a
-// nonzero dot product); a Borůvka-style maximum-spanning-forest build
-// hooks every component to its best-scoring neighbor per round; the
-// forest is then cut to `target` components by replaying its edges in
-// score order (single-linkage semantics).  Components the forest leaves
-// disconnected fall back to the same rank-adjacent smallest-pair merge
-// the greedy kernel uses for zero-sharing inputs.
-
-/// One scored candidate edge, u < v (original cluster ids).  (score, u,
-/// v) is a strict total order over distinct edges — the tie-break makes
-/// every parallel max-reduction deterministic.
-struct ForestEdge {
-  double score = 0;
-  std::uint32_t u = 0;
-  std::uint32_t v = 0;
-};
-
-bool edge_better(const ForestEdge& x, const ForestEdge& y) {
-  if (x.score != y.score) return x.score > y.score;
-  if (x.u != y.u) return x.u < y.u;
-  return x.v < y.v;
-}
-
-/// Union-find with path compression; unions attach the larger root under
-/// the smaller, so a component's root is always its smallest member id.
-std::uint32_t uf_find(std::vector<std::uint32_t>& parent, std::uint32_t x) {
-  std::uint32_t root = x;
-  while (parent[root] != root) root = parent[root];
-  while (parent[x] != root) {
-    const std::uint32_t next = parent[x];
-    parent[x] = root;
-    x = next;
-  }
-  return root;
-}
-
-bool uf_union(std::vector<std::uint32_t>& parent, std::uint32_t a,
-              std::uint32_t b) {
-  const std::uint32_t ra = uf_find(parent, a);
-  const std::uint32_t rb = uf_find(parent, b);
-  if (ra == rb) return false;
-  parent[std::max(ra, rb)] = std::min(ra, rb);
-  return true;
-}
+// Affinity-forest clustering (DESIGN.md §15): the scalable replacement
+// for the greedy merge heap.  Candidate edges between clusters come from
+// the data-chunk inverted index (only pairs sharing a data chunk can have
+// a nonzero dot product); core/affinity_forest builds the maximum
+// spanning forest and cuts it to `target` components.
 
 /// Scores every cluster pair that shares at least one data chunk, via
 /// the inverted index, in parallel over `pool`.  Edges come out grouped
@@ -460,159 +421,29 @@ void forest_to_count(std::vector<Cluster>& clusters, std::size_t target,
   span.arg("clusters", static_cast<std::uint64_t>(n));
   span.arg("target", static_cast<std::uint64_t>(target));
 
-  std::vector<ForestEdge> work = forest_candidate_edges(clusters, pool, options);
-
-  // Borůvka rounds: every component picks its best incident edge (a
-  // parallel max-reduction over the strict total order, so the pick is
-  // independent of edge visit order), the picks are hooked through the
-  // union-find in ascending component order, and intra-component edges
-  // are compacted away.  Components at least halve per round.
   std::vector<std::uint32_t> parent(n);
-  for (std::uint32_t i = 0; i < n; ++i) parent[i] = i;
-  std::vector<std::uint32_t> comp(n);
+  std::iota(parent.begin(), parent.end(), 0u);
   std::vector<ForestEdge> forest;
-  forest.reserve(n > 0 ? n - 1 : 0);
-  std::vector<std::atomic<std::uint32_t>> best(n);
-  constexpr std::uint32_t kNone = UINT32_MAX;
-  std::size_t rounds = 0;
+  forest.reserve(n - 1);
+  const std::size_t rounds =
+      hook_forest(forest_candidate_edges(clusters, pool, options), parent,
+                  forest, pool);
+  const std::size_t forest_edges = forest.size();
 
-  while (!work.empty()) {
-    ++rounds;
-    for (std::uint32_t i = 0; i < n; ++i) comp[i] = uf_find(parent, i);
-    for (auto& b : best) b.store(kNone, std::memory_order_relaxed);
-
-    auto consider = [&](std::uint32_t c, std::uint32_t idx) {
-      std::uint32_t cur = best[c].load(std::memory_order_relaxed);
-      while (cur == kNone || edge_better(work[idx], work[cur])) {
-        if (best[c].compare_exchange_weak(cur, idx,
-                                          std::memory_order_relaxed)) {
-          break;
-        }
-      }
-    };
-    auto pick_best = [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t e = lo; e < hi; ++e) {
-        const std::uint32_t cu = comp[work[e].u];
-        const std::uint32_t cv = comp[work[e].v];
-        consider(cu, static_cast<std::uint32_t>(e));
-        consider(cv, static_cast<std::uint32_t>(e));
-      }
-    };
-    if (pool != nullptr && pool->num_threads() > 1 && work.size() >= 4096) {
-      pool->parallel_for(0, work.size(), pool->default_grain(work.size()),
-                         pick_best);
-    } else {
-      pick_best(0, work.size());
-    }
-
-    bool hooked = false;
-    for (std::uint32_t c = 0; c < n; ++c) {
-      const std::uint32_t idx = best[c].load(std::memory_order_relaxed);
-      if (idx == kNone) continue;
-      const ForestEdge& e = work[idx];
-      if (uf_union(parent, e.u, e.v)) {
-        forest.push_back(e);
-        hooked = true;
-      }
-    }
-    if (!hooked) break;  // every remaining edge is intra-component
-
-    for (std::uint32_t i = 0; i < n; ++i) comp[i] = uf_find(parent, i);
-    work.erase(std::remove_if(work.begin(), work.end(),
-                              [&](const ForestEdge& e) {
-                                return comp[e.u] == comp[e.v];
-                              }),
-               work.end());
-  }
-
-  // Cut the forest to `target` components: replay its edges best-first.
-  // The forest is acyclic, so every replayed edge merges two distinct
-  // components.  The cut is balance-aware (cut_balance_slack): merges
-  // that would grow a component past (1 + slack) x the ideal share are
-  // skipped — single-linkage chains would otherwise concentrate nearly
-  // everything into one component and leave the downstream load
-  // balancer a quadratic pile of one-member moves.  Skipping keeps the
-  // union acyclic, so every replayed edge still joins distinct roots.
-  std::sort(forest.begin(), forest.end(), edge_better);
-  for (std::uint32_t i = 0; i < n; ++i) parent[i] = i;
-  std::uint64_t total_iterations = 0;
-  std::vector<std::uint64_t> comp_iterations(n);
+  std::vector<std::uint32_t> nodes(n);
+  std::iota(nodes.begin(), nodes.end(), 0u);
+  std::vector<std::uint64_t> iterations(n);
+  std::vector<std::uint64_t> order_keys(n);
   for (std::uint32_t i = 0; i < n; ++i) {
-    comp_iterations[i] = clusters[i].iterations;
-    total_iterations += clusters[i].iterations;
+    iterations[i] = clusters[i].iterations;
+    order_keys[i] = clusters[i].order_key;
   }
-  const bool capped = options.cut_balance_slack >= 0.0;
-  const auto cap = static_cast<std::uint64_t>(
-      static_cast<double>(total_iterations) /
-      static_cast<double>(target) * (1.0 + options.cut_balance_slack));
-  std::size_t components = n;
   std::uint64_t cut_skipped = 0;
-  for (const ForestEdge& e : forest) {
-    if (components <= target) break;
-    const std::uint32_t ru = uf_find(parent, e.u);
-    const std::uint32_t rv = uf_find(parent, e.v);
-    MLSC_CHECK(ru != rv, "forest edge formed a cycle");
-    if (capped && comp_iterations[ru] + comp_iterations[rv] > cap) {
-      ++cut_skipped;
-      continue;
-    }
-    const std::uint64_t merged_iters =
-        comp_iterations[ru] + comp_iterations[rv];
-    uf_union(parent, ru, rv);
-    comp_iterations[std::min(ru, rv)] = merged_iters;
-    --components;
-  }
+  parent = cut_forest(std::move(forest), nodes, iterations, order_keys, target,
+                      kCutBalanceSlack, &cut_skipped);
   span.arg("rounds", static_cast<std::uint64_t>(rounds));
-  span.arg("forest_edges", static_cast<std::uint64_t>(forest.size()));
+  span.arg("forest_edges", static_cast<std::uint64_t>(forest_edges));
   span.arg("cut_skipped", cut_skipped);
-
-  // Leftovers — components the cap stopped or that share no data: merge
-  // rank-adjacent (by order_key), smallest combined size first, the same
-  // fallback the greedy kernel uses.  Smallest-first evens the sizes, so
-  // the load balancer has little left to fix.
-  if (components > target) {
-    struct Comp {
-      std::uint32_t root;
-      std::uint64_t order_key;
-      std::uint64_t iterations;
-    };
-    std::unordered_map<std::uint32_t, std::size_t> slot;
-    std::vector<Comp> comps;
-    comps.reserve(components);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const std::uint32_t root = uf_find(parent, i);
-      const auto it = slot.find(root);
-      if (it == slot.end()) {
-        slot.emplace(root, comps.size());
-        comps.push_back(Comp{root, clusters[i].order_key,
-                             clusters[i].iterations});
-      } else {
-        Comp& c = comps[it->second];
-        c.order_key = std::min(c.order_key, clusters[i].order_key);
-        c.iterations += clusters[i].iterations;
-      }
-    }
-    std::sort(comps.begin(), comps.end(), [](const Comp& x, const Comp& y) {
-      if (x.order_key != y.order_key) return x.order_key < y.order_key;
-      return x.root < y.root;
-    });
-    while (comps.size() > target) {
-      std::size_t pos = 0;
-      std::uint64_t best_size = UINT64_MAX;
-      for (std::size_t p = 0; p + 1 < comps.size(); ++p) {
-        const std::uint64_t combined =
-            comps[p].iterations + comps[p + 1].iterations;
-        if (combined < best_size) {
-          best_size = combined;
-          pos = p;
-        }
-      }
-      uf_union(parent, comps[pos].root, comps[pos + 1].root);
-      comps[pos].root = std::min(comps[pos].root, comps[pos + 1].root);
-      comps[pos].iterations += comps[pos + 1].iterations;
-      comps.erase(comps.begin() + pos + 1);
-    }
-  }
 
   // Materialize: members grouped by component, components emitted in
   // ascending root (== smallest member) order — the same deterministic

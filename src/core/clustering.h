@@ -11,8 +11,9 @@
 //     candidate edges from the data-chunk inverted index, a
 //     Borůvka-style best-neighbor-hooking maximum-spanning-forest build
 //     (parallel over the thread pool), and a cut of the forest to the
-//     level's fan-out (single-linkage semantics).  Deterministic at any
-//     thread count.
+//     level's fan-out (single-linkage semantics) — both from
+//     core/affinity_forest, shared with the online service.
+//     Deterministic at any thread count.
 // kAuto (the default) uses the greedy kernel below forest_threshold
 // input clusters and the forest at or above it, so paper-scale inputs
 // keep the oracle's bit-exact mappings while large sweeps get the
@@ -77,14 +78,6 @@ struct ClusterOptions {
   /// callers with larger tables (benches, library users) cross over.
   std::size_t forest_threshold = 8192;
 
-  /// Balance-aware forest cut: a merge that would push a component's
-  /// iteration total above (1 + slack) * (total / target) is skipped,
-  /// so the cut cannot produce the giant single-linkage chain that the
-  /// downstream load balancer would have to disassemble one member at a
-  /// time.  Matches the paper's BThres default; negative disables the
-  /// cap (pure best-score cut).
-  double cut_balance_slack = 0.10;
-
   /// Forest candidate generation: posting lists (clusters per data
   /// chunk) longer than this are skipped (0 = no cap); see
   /// GraphOptions::hot_posting_cap.
@@ -108,9 +101,10 @@ struct ClusterOptions {
 /// incrementally across merges (inverted data-chunk index + max-heap
 /// with lazy invalidation), so the merge costs O(k^2 log k) word-ops
 /// rather than rescoring every pair per merge.  Forest kernel: candidate
-/// edges come from the same inverted index, Borůvka rounds hook each
-/// component to its best-scoring neighbor, and the resulting maximum
-/// spanning forest is cut to `target` components in score order.
+/// edges come from the same inverted index, and core/affinity_forest's
+/// Borůvka rounds hook each component to its best-scoring neighbor; the
+/// resulting maximum spanning forest is cut to `target` components in
+/// score order, balance-capped at kCutBalanceSlack.
 ///
 /// Both kernels fan the scoring work out over `pool` when one is given;
 /// every parallel reduction is over a total order, so the result is

@@ -1,9 +1,11 @@
 #include "core/dependences.h"
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 #include <unordered_map>
 
+#include "core/affinity_forest.h"
 #include "support/check.h"
 
 namespace mlsc::core {
@@ -22,29 +24,6 @@ std::int64_t rank_shift(const poly::IterationSpace& space,
     stride *= space.loop(k).extent();
   }
   return shift;
-}
-
-/// True when any range of `a`, shifted by `delta`, overlaps a range of
-/// `b`.  Both lists are sorted and disjoint.
-bool shifted_ranges_overlap(const std::vector<poly::LinearRange>& a,
-                            std::int64_t delta,
-                            const std::vector<poly::LinearRange>& b) {
-  auto ita = a.begin();
-  auto itb = b.begin();
-  while (ita != a.end() && itb != b.end()) {
-    const std::int64_t a_begin = static_cast<std::int64_t>(ita->begin) + delta;
-    const std::int64_t a_end = static_cast<std::int64_t>(ita->end) + delta;
-    const auto b_begin = static_cast<std::int64_t>(itb->begin);
-    const auto b_end = static_cast<std::int64_t>(itb->end);
-    if (a_end <= b_begin) {
-      ++ita;
-    } else if (b_end <= a_begin) {
-      ++itb;
-    } else {
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace
@@ -161,26 +140,14 @@ std::vector<ChunkDependence> find_chunk_dependences(
 std::vector<IterationChunk> merge_dependent_chunks(
     std::vector<IterationChunk> chunks,
     const std::vector<ChunkDependence>& deps) {
-  // Union-find over chunk indices.
   std::vector<std::uint32_t> parent(chunks.size());
-  for (std::uint32_t i = 0; i < parent.size(); ++i) parent[i] = i;
-  auto find = [&](std::uint32_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-  for (const auto& dep : deps) {
-    const std::uint32_t a = find(dep.src);
-    const std::uint32_t b = find(dep.dst);
-    if (a != b) parent[std::max(a, b)] = std::min(a, b);
-  }
+  std::iota(parent.begin(), parent.end(), 0u);
+  for (const auto& dep : deps) uf_union(parent, dep.src, dep.dst);
 
   std::vector<IterationChunk> merged;
   std::vector<std::int32_t> slot(chunks.size(), -1);
   for (std::uint32_t i = 0; i < chunks.size(); ++i) {
-    const std::uint32_t root = find(i);
+    const std::uint32_t root = uf_find(parent, i);
     if (slot[root] < 0) {
       slot[root] = static_cast<std::int32_t>(merged.size());
       merged.push_back(std::move(chunks[i]));

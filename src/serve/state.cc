@@ -15,36 +15,9 @@
 
 namespace mlsc::serve {
 
-bool edge_better(const ForestEdge& x, const ForestEdge& y) {
-  if (x.score != y.score) return x.score > y.score;
-  if (x.u != y.u) return x.u < y.u;
-  return x.v < y.v;
-}
+using core::ForestEdge;
 
 namespace {
-
-/// Union-find with path compression; unions attach the larger root under
-/// the smaller, so a component's root is always its smallest member id
-/// (the invariant the patch builder and fingerprint rely on).
-std::uint32_t uf_find(std::vector<std::uint32_t>& parent, std::uint32_t x) {
-  std::uint32_t root = x;
-  while (parent[root] != root) root = parent[root];
-  while (parent[x] != root) {
-    const std::uint32_t next = parent[x];
-    parent[x] = root;
-    x = next;
-  }
-  return root;
-}
-
-bool uf_union(std::vector<std::uint32_t>& parent, std::uint32_t a,
-              std::uint32_t b) {
-  const std::uint32_t ra = uf_find(parent, a);
-  const std::uint32_t rb = uf_find(parent, b);
-  if (ra == rb) return false;
-  parent[std::max(ra, rb)] = std::min(ra, rb);
-  return true;
-}
 
 std::string make_data_key(const std::string& name, double size_factor) {
   std::ostringstream out;
@@ -239,7 +212,7 @@ std::size_t MappingState::register_workload(const std::string& id,
   std::uint64_t scored = 0;
   std::vector<ForestEdge> edges = score_rows(rows, pool, &scored);
   if (stats != nullptr) stats->scored_pairs += scored;
-  hook_edges(std::move(edges), stats);
+  hook_edges(std::move(edges), pool, stats);
 
   span.arg("new_chunks", static_cast<std::uint64_t>(e.num_chunks));
   span.arg("scored_pairs", scored);
@@ -298,50 +271,14 @@ std::vector<ForestEdge> MappingState::score_rows(
 }
 
 void MappingState::hook_edges(std::vector<ForestEdge> edges,
-                              DeltaStats* stats) {
-  // Borůvka rounds against the *standing* union-find: every component
-  // incident to a candidate edge picks its best edge under the strict
-  // (score, u, v) order, picks are hooked in ascending component order,
-  // intra-component edges are compacted away.
-  while (!edges.empty()) {
-    edges.erase(std::remove_if(edges.begin(), edges.end(),
-                               [&](const ForestEdge& e) {
-                                 return uf_find(parent_, e.u) ==
-                                        uf_find(parent_, e.v);
-                               }),
-                edges.end());
-    if (edges.empty()) break;
-    if (stats != nullptr) stats->rounds += 1;
-
-    std::unordered_map<std::uint32_t, std::size_t> best;
-    for (std::size_t i = 0; i < edges.size(); ++i) {
-      for (const std::uint32_t end : {edges[i].u, edges[i].v}) {
-        const std::uint32_t root = uf_find(parent_, end);
-        const auto it = best.find(root);
-        if (it == best.end()) {
-          best.emplace(root, i);
-        } else if (edge_better(edges[i], edges[it->second])) {
-          it->second = i;
-        }
-      }
-    }
-    std::vector<std::uint32_t> comps;
-    comps.reserve(best.size());
-    for (const auto& [root, idx] : best) comps.push_back(root);
-    std::sort(comps.begin(), comps.end());
-
-    bool hooked = false;
-    for (const std::uint32_t root : comps) {
-      const ForestEdge& e = edges[best[root]];
-      if (uf_union(parent_, e.u, e.v)) {
-        forest_.push_back(e);
-        hooked = true;
-        if (stats != nullptr) stats->forest_hooks += 1;
-      }
-    }
-    if (!hooked) break;
+                              ThreadPool* pool, DeltaStats* stats) {
+  const std::size_t before = forest_.size();
+  const std::size_t rounds =
+      core::hook_forest(std::move(edges), parent_, forest_, pool);
+  if (stats != nullptr) {
+    stats->rounds += rounds;
+    stats->forest_hooks += forest_.size() - before;
   }
-  MLSC_COUNTER_ADD("pipeline.serve_forest_edges", forest_.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -425,7 +362,7 @@ void MappingState::set_baseline(std::size_t widx,
 
 void MappingState::rebuild_parent_from_forest() {
   for (std::uint32_t i = 0; i < parent_.size(); ++i) parent_[i] = i;
-  for (const ForestEdge& e : forest_) uf_union(parent_, e.u, e.v);
+  for (const ForestEdge& e : forest_) core::uf_union(parent_, e.u, e.v);
 }
 
 // ---------------------------------------------------------------------------
@@ -441,7 +378,7 @@ PatchPlan MappingState::build_patch(std::size_t widx) const {
   std::unordered_map<std::uint32_t, std::size_t> new_slot;   // root -> idx
   std::unordered_map<std::uint32_t, std::size_t> append_slot;  // cluster
   for (std::uint32_t g = lo; g < hi; ++g) {
-    const std::uint32_t root = uf_find(parent_, g);
+    const std::uint32_t root = core::uf_find(parent_, g);
     if (root < lo) {
       // Hooked onto a standing component: append to the cluster holding
       // the component's root (its smallest member — deterministic when
@@ -641,11 +578,13 @@ void MappingState::recut_all() {
   span.arg("target", static_cast<std::uint64_t>(target));
 
   std::vector<std::uint32_t> alive_chunks;
-  std::uint64_t total_iterations = 0;
+  std::vector<std::uint64_t> iterations;
+  std::vector<std::uint64_t> order_keys;
   for (std::uint32_t g = 0; g < chunks_.size(); ++g) {
     if (!chunk_live(g)) continue;
     alive_chunks.push_back(g);
-    total_iterations += chunks_[g].iterations;
+    iterations.push_back(chunks_[g].iterations);
+    order_keys.push_back(chunk_order_key(g));
   }
   clusters_.clear();
   std::fill(cluster_of_chunk_.begin(), cluster_of_chunk_.end(), kUnplaced);
@@ -654,98 +593,25 @@ void MappingState::recut_all() {
     span.end();
     return;
   }
-
-  // Replay the standing forest's edges best-first into a scratch
-  // union-find, balance-capped — the offline cut, verbatim semantics.
-  std::vector<ForestEdge> edges = forest_;
-  std::sort(edges.begin(), edges.end(), edge_better);
-  std::vector<std::uint32_t> parent(chunks_.size());
-  std::iota(parent.begin(), parent.end(), 0u);
-  std::vector<std::uint64_t> comp_iterations(chunks_.size(), 0);
-  for (const std::uint32_t g : alive_chunks) {
-    comp_iterations[g] = chunks_[g].iterations;
-  }
-  const bool capped = options_.cut_balance_slack >= 0.0;
-  const auto cap = static_cast<std::uint64_t>(
-      static_cast<double>(total_iterations) / static_cast<double>(target) *
-      (1.0 + options_.cut_balance_slack));
-  std::size_t components = alive_chunks.size();
-  for (const ForestEdge& e : edges) {
-    if (components <= target) break;
-    const std::uint32_t ru = uf_find(parent, e.u);
-    const std::uint32_t rv = uf_find(parent, e.v);
-    MLSC_CHECK(ru != rv, "standing forest edge formed a cycle");
-    if (capped && comp_iterations[ru] + comp_iterations[rv] > cap) continue;
-    const std::uint64_t merged = comp_iterations[ru] + comp_iterations[rv];
-    uf_union(parent, ru, rv);
-    comp_iterations[std::min(ru, rv)] = merged;
-    --components;
-  }
-
-  // Leftovers: merge rank-adjacent (order_key) smallest-combined-first.
-  if (components > target) {
-    struct Comp {
-      std::uint32_t root;
-      std::uint64_t order_key;
-      std::uint64_t iterations;
-    };
-    std::unordered_map<std::uint32_t, std::size_t> slot;
-    std::vector<Comp> comps;
-    comps.reserve(components);
-    for (const std::uint32_t g : alive_chunks) {
-      const std::uint32_t root = uf_find(parent, g);
-      const auto it = slot.find(root);
-      if (it == slot.end()) {
-        slot.emplace(root, comps.size());
-        comps.push_back(Comp{root, chunk_order_key(g), chunks_[g].iterations});
-      } else {
-        Comp& c = comps[it->second];
-        c.order_key = std::min(c.order_key, chunk_order_key(g));
-        c.iterations += chunks_[g].iterations;
-      }
-    }
-    std::sort(comps.begin(), comps.end(), [](const Comp& x, const Comp& y) {
-      if (x.order_key != y.order_key) return x.order_key < y.order_key;
-      return x.root < y.root;
-    });
-    while (comps.size() > target) {
-      std::size_t pos = 0;
-      std::uint64_t best_size = UINT64_MAX;
-      for (std::size_t p = 0; p + 1 < comps.size(); ++p) {
-        const std::uint64_t combined =
-            comps[p].iterations + comps[p + 1].iterations;
-        if (combined < best_size) {
-          best_size = combined;
-          pos = p;
-        }
-      }
-      uf_union(parent, comps[pos].root, comps[pos + 1].root);
-      comps[pos].root = std::min(comps[pos].root, comps[pos + 1].root);
-      comps[pos].iterations += comps[pos + 1].iterations;
-      comps.erase(comps.begin() + pos + 1);
-    }
-  }
+  std::vector<std::uint32_t> parent =
+      core::cut_forest(forest_, alive_chunks, iterations, order_keys, target,
+                       options_.cut_balance_slack);
 
   // Materialize ascending by root (== smallest member), members
   // ascending, then place every cluster heaviest-first least-loaded.
-  std::unordered_map<std::uint32_t, std::size_t> group;
   for (const std::uint32_t g : alive_chunks) {
-    const std::uint32_t root = uf_find(parent, g);
-    const auto it = group.find(root);
-    std::size_t idx;
-    if (it == group.end()) {
+    const std::uint32_t root = core::uf_find(parent, g);
+    if (root == g) {
       // alive_chunks ascends and the root is the component's smallest
       // member, so first sight of a root is the root itself — clusters
       // come out ascending by root.
-      idx = clusters_.size();
-      group.emplace(root, idx);
+      cluster_of_chunk_[g] = static_cast<std::uint32_t>(clusters_.size());
       clusters_.push_back(ServeCluster{});
-    } else {
-      idx = it->second;
     }
+    const std::uint32_t idx = cluster_of_chunk_[root];
     clusters_[idx].members.push_back(g);
     clusters_[idx].iterations += chunks_[g].iterations;
-    cluster_of_chunk_[g] = static_cast<std::uint32_t>(idx);
+    cluster_of_chunk_[g] = idx;
   }
   MLSC_CHECK(clusters_.size() == target,
              "recut produced " << clusters_.size() << " clusters, wanted "
@@ -778,7 +644,7 @@ void MappingState::rebuild_all(ThreadPool* pool, DeltaStats* stats) {
   std::uint64_t scored = 0;
   std::vector<ForestEdge> edges = score_rows(rows, pool, &scored);
   if (stats != nullptr) stats->scored_pairs += scored;
-  hook_edges(std::move(edges), stats);
+  hook_edges(std::move(edges), pool, stats);
   span.arg("rows", static_cast<std::uint64_t>(rows.size()));
   span.arg("scored_pairs", scored);
   span.end();
@@ -1053,10 +919,11 @@ void MappingState::check_invariants() const {
   for (const ForestEdge& e : forest_) {
     MLSC_CHECK(e.u < e.v && e.v < n, "malformed forest edge");
     MLSC_CHECK(chunk_live(e.u) && chunk_live(e.v), "dead forest endpoint");
-    MLSC_CHECK(uf_union(scratch, e.u, e.v), "forest edge formed a cycle");
+    MLSC_CHECK(core::uf_union(scratch, e.u, e.v),
+               "forest edge formed a cycle");
   }
   for (std::uint32_t g = 0; g < n; ++g) {
-    MLSC_CHECK(uf_find(scratch, g) == uf_find(parent_, g),
+    MLSC_CHECK(core::uf_find(scratch, g) == core::uf_find(parent_, g),
                "standing union-find out of sync with the forest");
   }
 }

@@ -8,8 +8,9 @@
 //     over the same data can cluster together; distinct data keys get
 //     disjoint bit ranges and never interact),
 //   - the standing affinity forest (a maximum-spanning-forest over
-//     chunk-similarity edges under the same strict (score, u, v) total
-//     order as core::clustering's kForest kernel) and its union-find,
+//     chunk-similarity edges, built and cut by core/affinity_forest —
+//     the kernel core::clustering's kForest path calls too) and its
+//     union-find,
 //   - the standing cut (clusters of chunks, possibly spanning
 //     instances) with per-cluster client placement and per-client load.
 //
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "cache/storage_cache.h"
+#include "core/affinity_forest.h"
 #include "core/iteration_chunk.h"
 #include "core/mapping.h"
 #include "core/tagging.h"
@@ -43,20 +45,10 @@ inline constexpr std::uint32_t kUnplaced = UINT32_MAX;
 
 struct ServeStateOptions {
   core::TaggingOptions tagging;
-  /// Balance-aware cut slack, as core::ClusterOptions::cut_balance_slack.
-  double cut_balance_slack = 0.10;
+  /// Balance-aware cut slack of the standing cut (see
+  /// core::kCutBalanceSlack; negative disables the cap).
+  double cut_balance_slack = core::kCutBalanceSlack;
 };
-
-/// One similarity edge of the standing forest; u < v are global chunk
-/// ids.  (score, u, v) is the strict total order shared with the
-/// offline forest kernel.
-struct ForestEdge {
-  double score = 0;
-  std::uint32_t u = 0;
-  std::uint32_t v = 0;
-};
-
-bool edge_better(const ForestEdge& x, const ForestEdge& y);
 
 /// Mapping-work accounting for one operation, mirrored into the
 /// pipeline.* counters: candidate pairs scored and forest hooks made.
@@ -231,10 +223,11 @@ class MappingState {
   std::uint64_t chunk_order_key(std::uint32_t chunk) const;
   /// Scores each listed chunk row against the posting index (candidates
   /// strictly below the row id, same slot scheme as the offline kernel).
-  std::vector<ForestEdge> score_rows(const std::vector<std::uint32_t>& rows,
-                                     ThreadPool* pool,
-                                     std::uint64_t* scored) const;
-  void hook_edges(std::vector<ForestEdge> edges, DeltaStats* stats);
+  std::vector<core::ForestEdge> score_rows(
+      const std::vector<std::uint32_t>& rows, ThreadPool* pool,
+      std::uint64_t* scored) const;
+  void hook_edges(std::vector<core::ForestEdge> edges, ThreadPool* pool,
+                  DeltaStats* stats);
   void place_cluster(std::uint32_t cluster_index);
   bool chunk_live(std::uint32_t chunk) const;
   void rebuild_parent_from_forest();
@@ -256,7 +249,7 @@ class MappingState {
   /// Union-find over forest components; mutable so const queries can
   /// path-compress (semantically pure).
   mutable std::vector<std::uint32_t> parent_;
-  std::vector<ForestEdge> forest_;        // hooked edges, append order
+  std::vector<core::ForestEdge> forest_;  // hooked edges, append order
 
   std::vector<ServeCluster> clusters_;
   std::vector<std::uint32_t> cluster_of_chunk_;  // kUnplaced when none
