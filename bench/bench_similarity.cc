@@ -1,8 +1,9 @@
 // Similarity-pipeline benchmark (DESIGN.md §15): sweeps synthetic
-// iteration-chunk tables from 8k chunks upward and times the three-stage
-// similarity kernel against the exhaustive reference where feasible —
-//   graph_ms    inverted-index candidate generation + scoring + freeze
-//   exact_ms    the O(n^2) oracle sweep (rows small enough to afford it)
+// iteration-chunk tables from 8k chunks upward and times the similarity
+// graph build against the exhaustive reference where feasible —
+//   graph_ms    inverted-index pair scoring + CSR freeze
+//   exact_ms    the O(n^2) sparse reference sweep (rows small enough to
+//               afford it)
 //   cluster_ms  the affinity-forest clustering kernel
 //   greedy_ms   the greedy merge oracle (same feasibility cutoff)
 //   map_ms      the full hierarchical map end-to-end
@@ -18,8 +19,8 @@
 //   --exact-cap=N   run the exact oracle up to N chunks (default 8192)
 //   --threads=N     mapping threads, 0 = all cores (default 0)
 //   --target=N      clusters per clustering timing run (default 16)
-//   --bands=N --rows=N --hot-cap=N   candidate filters for the banded
-//                                    column (default 8 bands x 2 rows)
+//   --bands=N --rows=N  minhash banding for the banded column
+//                       (default 8 bands x 2 rows)
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -112,7 +113,6 @@ int main(int argc, char** argv) {
   std::size_t threads = 0;
   std::size_t target = 16;
   core::MinhashParams banding{.bands = 8, .rows = 2};
-  std::size_t hot_cap = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--max-chunks=", 0) == 0) {
@@ -129,8 +129,6 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--rows=", 0) == 0) {
       banding.rows = static_cast<std::uint32_t>(
           parse_size_flag(arg, "--rows="));
-    } else if (arg.rfind("--hot-cap=", 0) == 0) {
-      hot_cap = parse_size_flag(arg, "--hot-cap=");
     }
   }
   MLSC_CHECK(max_chunks <= (1u << 20), "--max-chunks tops out at 1048576");
@@ -173,9 +171,9 @@ int main(int argc, char** argv) {
     const auto chunks = make_chunks(n, rng);
     const bool feasible = n <= exact_cap;
 
-    // Stage 1+2: candidate generation + scoring.  The graph is built in
-    // a nested scope so its CSR is freed before the clustering and map
-    // runs; only the stats survive.
+    // Pair scoring + freeze.  The graph is built in a nested scope so its
+    // CSR is freed before the clustering and map runs; only the stats
+    // survive.
     core::GraphStats stats;
     std::size_t num_edges = 0;
     const double graph_ms = timed_min([&] {
@@ -193,7 +191,6 @@ int main(int argc, char** argv) {
       core::GraphOptions options;
       options.pool = pool_ptr;
       options.banding = banding;
-      options.hot_posting_cap = hot_cap;
       const core::ChunkGraph graph(chunks, options);
       banded_stats = graph.stats();
     });
@@ -201,17 +198,14 @@ int main(int argc, char** argv) {
     double exact_ms = std::numeric_limits<double>::quiet_NaN();
     if (feasible) {
       exact_ms = timed_min([&] {
-        core::GraphOptions options;
-        options.pool = pool_ptr;
-        options.exact = true;
-        const core::ChunkGraph graph(chunks, options);
-        MLSC_CHECK(graph.num_edges() == num_edges,
-                   "candidate graph lost edges vs the exact sweep");
+        MLSC_CHECK(core::exhaustive_similarity_edges(chunks).size() ==
+                       num_edges,
+                   "candidate graph lost edges vs the exhaustive sweep");
       });
     }
 
-    // Stage 3: clustering — the forest kernel, and the greedy oracle on
-    // feasible rows.
+    // Clustering — the forest kernel, and the greedy oracle on feasible
+    // rows.
     const double cluster_ms = timed_min([&] {
       auto working = chunks;
       std::vector<std::uint32_t> ids(working.size());

@@ -13,7 +13,6 @@
 #include "obs/trace.h"
 #include "support/argparse.h"
 #include "support/check.h"
-#include "support/dynamic_bitset.h"
 #include "support/log.h"
 #include "support/string_util.h"
 #include "support/units.h"
@@ -81,7 +80,6 @@ void parse_common_flags(int argc, char** argv) {
   }
   state.record.build_type = MLSC_BUILD_TYPE;
   state.record.git_sha = MLSC_GIT_SHA;
-  state.record.simd_level = DynamicBitset::simd_dispatch_level();
   state.record.hardware_threads = std::thread::hardware_concurrency();
   // Default machine description from uname; benches that print a header
   // overwrite it with the simulated machine config.  This keeps records

@@ -2,7 +2,7 @@
 // forest build and balance-aware cut shared by the offline forest
 // clustering (core/clustering) and the online service's standing forest
 // (serve/state).  Callers own candidate scoring — the offline kernel
-// scores average-linkage dots with banding and a hot-posting cap, the
+// scores average-linkage dots with score_shared_pairs (core/graph.h), the
 // service raw shared-bit counts over its global posting index — and hand
 // the scored edges here.
 #pragma once

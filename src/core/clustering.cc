@@ -1,12 +1,13 @@
 #include "core/clustering.h"
 
 #include <algorithm>
-#include <atomic>
 #include <numeric>
 #include <queue>
+#include <span>
 #include <unordered_map>
 
 #include "core/affinity_forest.h"
+#include "core/graph.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "support/check.h"
@@ -94,6 +95,24 @@ struct MergeCandidate {
   }
 };
 
+/// Each cluster's (position, count) tag entries, the scorer's input.
+std::vector<std::span<const ClusterTag::Entry>> tag_entries(
+    const std::vector<Cluster>& clusters) {
+  std::vector<std::span<const ClusterTag::Entry>> out;
+  out.reserve(clusters.size());
+  for (const Cluster& c : clusters) out.emplace_back(c.tag.entries());
+  return out;
+}
+
+/// The average-linkage score dot(a, b) / (|a| * |b|), shared by both
+/// kernels (see MergeCandidate for why the dot is normalized).
+double average_linkage(std::uint64_t dot, const Cluster& a,
+                       const Cluster& b) {
+  return static_cast<double>(dot) /
+         (static_cast<double>(a.members.size()) *
+          static_cast<double>(b.members.size()));
+}
+
 void merge_to_count(std::vector<Cluster>& clusters, std::size_t target,
                     ThreadPool* pool) {
   const std::size_t n = clusters.size();
@@ -101,13 +120,12 @@ void merge_to_count(std::vector<Cluster>& clusters, std::size_t target,
   std::vector<std::uint32_t> version(n, 0);
   std::priority_queue<MergeCandidate> heap;
 
-  // Inverted index: data chunk -> (cluster, per-chunk count, version).
-  // Only cluster pairs sharing a data chunk have a nonzero dot product,
-  // so candidate generation walks the index instead of the O(V^2) pair
-  // space, and the dot products of one cluster against every candidate
-  // accumulate in a single pass (dot(a,c) = sum over shared chunks of
-  // count_a * count_c).  Entries go stale when their cluster merges (its
-  // version bumps) and are compacted away on the next scan.
+  // Versioned inverted index for re-scoring a merged cluster: data chunk
+  // -> (cluster, per-chunk count, version).  The merged cluster's dots
+  // against every partner accumulate in one pass over its postings
+  // (dot(a,c) = sum over shared chunks of count_a * count_c).  Entries
+  // go stale when their cluster merges (its version bumps) and are
+  // compacted away on the next scan.
   struct IndexEntry {
     std::uint32_t cluster;
     std::uint32_t count;
@@ -145,60 +163,26 @@ void merge_to_count(std::vector<Cluster>& clusters, std::size_t target,
     for (std::uint32_t b : touched) {
       const std::uint32_t lo = std::min(a, b);
       const std::uint32_t hi = std::max(a, b);
-      const double denom = static_cast<double>(clusters[a].members.size()) *
-                           static_cast<double>(clusters[b].members.size());
-      heap.push(MergeCandidate{static_cast<double>(acc[b]) / denom, lo, hi,
-                               version[lo], version[hi]});
+      heap.push(
+          MergeCandidate{average_linkage(acc[b], clusters[a], clusters[b]),
+                         lo, hi, version[lo], version[hi]});
       acc[b] = 0;
     }
   };
+  // Initial sweep: score every pair sharing data once, then index every
+  // cluster (version 0) for the re-scoring of merged clusters below.
+  // Rows are pushed in a order; the candidate comparator is a total
+  // order, so the merge sequence does not depend on push order anyway.
   obs::Span sweep_span("pipeline.similarity_sweep");
   sweep_span.arg("clusters", static_cast<std::uint64_t>(n));
-  if (pool != nullptr && pool->num_threads() > 1 && n >= 256) {
-    // Parallel initial scoring: index every cluster first (read-only
-    // thereafter), then score each cluster a against the indexed b < a
-    // concurrently.  The candidates per a land in per-a slots and are
-    // pushed in a order, so the heap receives exactly the multiset the
-    // serial interleaved loop builds — and the candidate comparator is a
-    // total order, so the merge sequence is bit-identical.
-    for (std::uint32_t a = 0; a < n; ++a) index_cluster(a);
-    std::vector<std::vector<MergeCandidate>> initial(n);
-    pool->parallel_for(
-        0, n, pool->default_grain(n), [&](std::size_t lo, std::size_t hi) {
-          thread_local std::vector<std::uint64_t> local_acc;
-          thread_local std::vector<std::uint32_t> local_touched;
-          if (local_acc.size() < n) local_acc.resize(n, 0);
-          for (std::size_t a = lo; a < hi; ++a) {
-            local_touched.clear();
-            for (const auto& tag_entry : clusters[a].tag.entries()) {
-              const auto it = bit_index.find(tag_entry.pos);
-              if (it == bit_index.end()) continue;
-              const std::uint64_t ca = tag_entry.count;
-              for (const IndexEntry& e : it->second) {
-                if (e.cluster >= a) break;  // entries are id-ascending
-                if (local_acc[e.cluster] == 0) {
-                  local_touched.push_back(e.cluster);
-                }
-                local_acc[e.cluster] += ca * e.count;
-              }
-            }
-            for (std::uint32_t b : local_touched) {
-              const double denom =
-                  static_cast<double>(clusters[a].members.size()) *
-                  static_cast<double>(clusters[b].members.size());
-              initial[a].push_back(MergeCandidate{
-                  static_cast<double>(local_acc[b]) / denom, b,
-                  static_cast<std::uint32_t>(a), 0, 0});
-              local_acc[b] = 0;  // keep the scratch all-zero between rows
-            }
-          }
-        });
-    for (auto& list : initial) {
-      for (const MergeCandidate& c : list) heap.push(c);
-    }
-  } else {
+  {
+    const auto rows = score_shared_pairs(tag_entries(clusters), pool);
     for (std::uint32_t a = 0; a < n; ++a) {
-      push_candidates(a);
+      for (const PairDot& hit : rows[a]) {
+        heap.push(MergeCandidate{
+            average_linkage(hit.dot, clusters[a], clusters[hit.b]), hit.b, a,
+            0, 0});
+      }
       index_cluster(a);
     }
   }
@@ -303,119 +287,35 @@ void merge_to_count(std::vector<Cluster>& clusters, std::size_t target,
 // a nonzero dot product); core/affinity_forest builds the maximum
 // spanning forest and cuts it to `target` components.
 
-/// Scores every cluster pair that shares at least one data chunk, via
-/// the inverted index, in parallel over `pool`.  Edges come out grouped
-/// by the larger endpoint ascending — a deterministic order.
+/// Scores every cluster pair that shares at least one data chunk.
+/// Edges come out grouped by the larger endpoint ascending, then by the
+/// smaller — a deterministic order.
 std::vector<ForestEdge> forest_candidate_edges(
-    const std::vector<Cluster>& clusters, ThreadPool* pool,
-    const ClusterOptions& options) {
+    const std::vector<Cluster>& clusters, ThreadPool* pool) {
   const std::size_t n = clusters.size();
   obs::Span span("pipeline.candidate_gen");
   span.arg("clusters", static_cast<std::uint64_t>(n));
 
-  struct IndexEntry {
-    std::uint32_t cluster;
-    std::uint32_t count;
-  };
-  std::unordered_map<std::uint32_t, std::vector<IndexEntry>> bit_index;
-  for (std::uint32_t a = 0; a < n; ++a) {
-    for (const auto& entry : clusters[a].tag.entries()) {
-      bit_index[entry.pos].push_back(IndexEntry{a, entry.count});
-    }
-  }
-  std::uint64_t hot_skipped = 0;
-  if (options.hot_posting_cap > 0) {
-    for (auto& [pos, list] : bit_index) {
-      if (list.size() > options.hot_posting_cap) {
-        list.clear();
-        ++hot_skipped;
-      }
-    }
-  }
-
-  std::vector<std::uint64_t> band_keys;
-  const MinhashParams& banding = options.banding;
-  if (banding.enabled()) {
-    band_keys.resize(n * banding.bands);
-    std::vector<std::uint32_t> positions;
-    for (std::size_t a = 0; a < n; ++a) {
-      positions.clear();
-      for (const auto& entry : clusters[a].tag.entries()) {
-        positions.push_back(entry.pos);
-      }
-      minhash_band_keys(positions, banding, band_keys.data() + a * banding.bands);
-    }
-  }
-
-  // Per-a slots keep the parallel fill deterministic; entries in every
-  // posting list are id-ascending, so scoring a against b < a stops at
-  // the first entry >= a.
-  std::vector<std::vector<ForestEdge>> per_row(n);
-  std::atomic<std::uint64_t> pruned{0};
-  auto score_rows = [&](std::size_t lo, std::size_t hi) {
-    thread_local std::vector<std::uint64_t> acc;
-    thread_local std::vector<std::uint32_t> touched;
-    if (acc.size() < n) acc.resize(n, 0);
-    std::uint64_t local_pruned = 0;
-    for (std::size_t a = lo; a < hi; ++a) {
-      touched.clear();
-      for (const auto& tag_entry : clusters[a].tag.entries()) {
-        const auto it = bit_index.find(tag_entry.pos);
-        if (it == bit_index.end()) continue;
-        const std::uint64_t ca = tag_entry.count;
-        for (const IndexEntry& e : it->second) {
-          if (e.cluster >= a) break;
-          if (acc[e.cluster] == 0) touched.push_back(e.cluster);
-          acc[e.cluster] += ca * e.count;
-        }
-      }
-      std::sort(touched.begin(), touched.end());
-      auto& out = per_row[a];
-      out.reserve(touched.size());
-      for (const std::uint32_t b : touched) {
-        const std::uint64_t dot = acc[b];
-        acc[b] = 0;  // keep the scratch all-zero between rows
-        if (banding.enabled() &&
-            !minhash_shares_band(band_keys.data() + b * banding.bands,
-                                 band_keys.data() + a * banding.bands,
-                                 banding)) {
-          ++local_pruned;
-          continue;
-        }
-        const double denom = static_cast<double>(clusters[a].members.size()) *
-                             static_cast<double>(clusters[b].members.size());
-        out.push_back(ForestEdge{static_cast<double>(dot) / denom, b,
-                                 static_cast<std::uint32_t>(a)});
-      }
-    }
-    pruned.fetch_add(local_pruned, std::memory_order_relaxed);
-  };
-  if (pool != nullptr && pool->num_threads() > 1 && n >= 256) {
-    pool->parallel_for(0, n, pool->default_grain(n), score_rows);
-  } else {
-    score_rows(0, n);
-  }
-
+  auto rows = score_shared_pairs(tag_entries(clusters), pool);
   std::size_t total = 0;
-  for (const auto& row : per_row) total += row.size();
+  for (const auto& row : rows) total += row.size();
   std::vector<ForestEdge> edges;
   edges.reserve(total);
-  for (auto& row : per_row) {
-    edges.insert(edges.end(), row.begin(), row.end());
-    row.clear();
-    row.shrink_to_fit();
+  for (std::uint32_t a = 0; a < n; ++a) {
+    for (const PairDot& hit : rows[a]) {
+      edges.push_back(ForestEdge{
+          average_linkage(hit.dot, clusters[a], clusters[hit.b]), hit.b, a});
+    }
+    rows[a] = {};
   }
   span.arg("candidate_pairs", static_cast<std::uint64_t>(edges.size()));
-  span.arg("pairs_pruned", pruned.load());
   span.end();
   MLSC_COUNTER_ADD("graph.candidate_pairs", edges.size());
-  MLSC_COUNTER_ADD("graph.pairs_pruned", pruned.load());
-  MLSC_COUNTER_ADD("graph.hot_postings_skipped", hot_skipped);
   return edges;
 }
 
 void forest_to_count(std::vector<Cluster>& clusters, std::size_t target,
-                     ThreadPool* pool, const ClusterOptions& options) {
+                     ThreadPool* pool) {
   const std::size_t n = clusters.size();
   obs::Span span("pipeline.affinity_forest");
   span.arg("clusters", static_cast<std::uint64_t>(n));
@@ -426,7 +326,7 @@ void forest_to_count(std::vector<Cluster>& clusters, std::size_t target,
   std::vector<ForestEdge> forest;
   forest.reserve(n - 1);
   const std::size_t rounds =
-      hook_forest(forest_candidate_edges(clusters, pool, options), parent,
+      hook_forest(forest_candidate_edges(clusters, pool), parent,
                   forest, pool);
   const std::size_t forest_edges = forest.size();
 
@@ -525,7 +425,7 @@ void cluster_to_count(std::vector<Cluster>& clusters, std::size_t target,
         (options.algorithm == ClusterOptions::Algorithm::kAuto &&
          clusters.size() >= options.forest_threshold);
     if (use_forest) {
-      forest_to_count(clusters, target, pool, options);
+      forest_to_count(clusters, target, pool);
     } else {
       merge_to_count(clusters, target, pool);
     }

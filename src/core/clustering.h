@@ -8,7 +8,7 @@
 //     average-linkage candidates with lazy invalidation).  Quality
 //     reference, O(k^2 log k)-ish; the oracle for equivalence tests.
 //   - kForest: the scalable similarity-weighted affinity forest —
-//     candidate edges from the data-chunk inverted index, a
+//     candidate edges from the shared-data pair scorer (core/graph.h), a
 //     Borůvka-style best-neighbor-hooking maximum-spanning-forest build
 //     (parallel over the thread pool), and a cut of the forest to the
 //     level's fan-out (single-linkage semantics) — both from
@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "core/iteration_chunk.h"
-#include "core/minhash.h"
 #include "core/tag.h"
 #include "support/thread_pool.h"
 
@@ -77,15 +76,6 @@ struct ClusterOptions {
   /// keeps the greedy oracle's bit-exact mapping; only direct map_chunks
   /// callers with larger tables (benches, library users) cross over.
   std::size_t forest_threshold = 8192;
-
-  /// Forest candidate generation: posting lists (clusters per data
-  /// chunk) longer than this are skipped (0 = no cap); see
-  /// GraphOptions::hot_posting_cap.
-  std::size_t hot_posting_cap = 0;
-
-  /// Forest candidate generation: minhash banding over cluster tag
-  /// positions; bands == 0 (default) disables pruning.
-  MinhashParams banding;
 };
 
 /// Reduces or expands `clusters` to exactly `target` clusters:
@@ -97,14 +87,16 @@ struct ClusterOptions {
 ///     iteration chunk (appending to `chunks`) when it has one.
 /// `chunks` may grow; all member indices remain valid.
 ///
-/// Greedy kernel: cluster tags and pairwise dot products are maintained
-/// incrementally across merges (inverted data-chunk index + max-heap
-/// with lazy invalidation), so the merge costs O(k^2 log k) word-ops
-/// rather than rescoring every pair per merge.  Forest kernel: candidate
-/// edges come from the same inverted index, and core/affinity_forest's
-/// Borůvka rounds hook each component to its best-scoring neighbor; the
-/// resulting maximum spanning forest is cut to `target` components in
-/// score order, balance-capped at kCutBalanceSlack.
+/// Both kernels score the initial pairs with score_shared_pairs
+/// (core/graph.h).  Greedy kernel: cluster tags and pairwise dot
+/// products are then maintained incrementally across merges (versioned
+/// inverted data-chunk index + max-heap with lazy invalidation), so the
+/// merge costs O(k^2 log k) word-ops rather than rescoring every pair per
+/// merge.  Forest kernel: the scored pairs are the candidate edges, and
+/// core/affinity_forest's Borůvka rounds hook each component to its
+/// best-scoring neighbor; the resulting maximum spanning forest is cut to
+/// `target` components in score order, balance-capped at
+/// kCutBalanceSlack.
 ///
 /// Both kernels fan the scoring work out over `pool` when one is given;
 /// every parallel reduction is over a total order, so the result is

@@ -1,38 +1,25 @@
 #include "core/graph.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
+#include <functional>
+#include <limits>
 #include <sstream>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "support/check.h"
-#include "support/dynamic_bitset.h"
 
 namespace mlsc::core {
 
 namespace {
 
-/// One nonzero entry found by the sweep: (b, weight) with b > row.
-struct RowHit {
-  std::uint32_t b;
-  std::uint64_t weight;
-};
-
-double elapsed_ms(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
 /// Runs body(lo, hi) over [0, n) — on the pool when one is given and the
 /// range is worth fanning out, inline otherwise.  Row outputs land in
-/// per-row slots, so both paths produce identical structure.
+/// per-row slots, so both paths produce identical results.
 void for_rows(ThreadPool* pool, std::size_t n,
               const std::function<void(std::size_t, std::size_t)>& body) {
-  if (pool != nullptr && n >= 64) {
-    // Small grain: row cost is skewed (early rows see more partners), so
+  if (pool != nullptr && pool->num_threads() > 1 && n >= 256) {
+    // Small grain: row cost is skewed (late rows see more partners), so
     // dynamic claiming of many small chunks evens the load out.
     const std::size_t grain =
         std::max<std::size_t>(1, n / (pool->num_threads() * 8));
@@ -44,6 +31,84 @@ void for_rows(ThreadPool* pool, std::size_t n,
 
 }  // namespace
 
+std::vector<std::vector<PairDot>> score_shared_pairs(
+    std::span<const std::span<const ClusterTag::Entry>> nodes,
+    ThreadPool* pool) {
+  const std::size_t n = nodes.size();
+  MLSC_CHECK(n <= std::numeric_limits<std::uint32_t>::max(),
+             "pair scorer limited to 2^32 nodes");
+
+  // Inverted index in CSR form: position p's postings are
+  // postings[offset[p] .. offset[p+1]), node-ascending because nodes are
+  // appended in id order.  Counting into offset[p + 2] makes the prefix
+  // sum leave p's start in offset[p + 1], the fill cursor, which the
+  // fill then advances to p's end — so no separate cursor array.
+  struct Posting {
+    std::uint32_t node;
+    std::uint32_t count;
+  };
+  std::size_t width = 0;
+  for (const auto& node : nodes) {
+    if (!node.empty()) {
+      width = std::max<std::size_t>(width, node.back().pos + std::size_t{1});
+    }
+  }
+  std::vector<std::size_t> offset(width + 2, 0);
+  for (const auto& node : nodes) {
+    for (const ClusterTag::Entry& e : node) ++offset[e.pos + 2];
+  }
+  for (std::size_t p = 2; p < offset.size(); ++p) offset[p] += offset[p - 1];
+  std::vector<Posting> postings(offset.back());
+  for (std::uint32_t v = 0; v < n; ++v) {
+    for (const ClusterTag::Entry& e : nodes[v]) {
+      MLSC_DCHECK(e.count > 0, "pair scorer needs positive counts");
+      postings[offset[e.pos + 1]++] = Posting{v, e.count};
+    }
+  }
+
+  // Row a accumulates dot(a, b) for every b < a on a's postings — the
+  // lists are node-ascending, so each scan stops at the first entry >= a.
+  std::vector<std::vector<PairDot>> rows(n);
+  for_rows(pool, n, [&](std::size_t lo, std::size_t hi) {
+    thread_local std::vector<std::uint64_t> acc;
+    thread_local std::vector<std::uint32_t> touched;
+    if (acc.size() < n) acc.resize(n, 0);
+    for (std::size_t a = lo; a < hi; ++a) {
+      touched.clear();
+      for (const ClusterTag::Entry& e : nodes[a]) {
+        const std::uint64_t count_a = e.count;
+        const Posting* end = postings.data() + offset[e.pos + 1];
+        for (const Posting* p = postings.data() + offset[e.pos];
+             p != end && p->node < a; ++p) {
+          if (acc[p->node] == 0) touched.push_back(p->node);
+          acc[p->node] += count_a * p->count;
+        }
+      }
+      std::sort(touched.begin(), touched.end());
+      auto& row = rows[a];
+      row.reserve(touched.size());
+      for (const std::uint32_t b : touched) {
+        row.push_back(PairDot{b, acc[b]});
+        acc[b] = 0;  // keep the scratch all-zero between rows
+      }
+    }
+  });
+  return rows;
+}
+
+std::vector<GraphEdge> exhaustive_similarity_edges(
+    const std::vector<IterationChunk>& chunks) {
+  std::vector<GraphEdge> edges;
+  const auto n = static_cast<std::uint32_t>(chunks.size());
+  for (std::uint32_t a = 0; a < n; ++a) {
+    for (std::uint32_t b = a + 1; b < n; ++b) {
+      const std::uint64_t w = chunks[a].tag.common_bits(chunks[b].tag);
+      if (w > 0) edges.push_back(GraphEdge{a, b, w});
+    }
+  }
+  return edges;
+}
+
 ChunkGraph::ChunkGraph(const std::vector<IterationChunk>& chunks,
                        const GraphOptions& options)
     : num_nodes_(chunks.size()) {
@@ -52,277 +117,113 @@ ChunkGraph::ChunkGraph(const std::vector<IterationChunk>& chunks,
                                             << " nodes (got " << num_nodes_
                                             << ")");
   const std::uint32_t n = static_cast<std::uint32_t>(num_nodes_);
-  stats_.exact = options.exact;
   stats_.total_pairs =
       n == 0 ? 0 : static_cast<std::uint64_t>(n) * (n - 1) / 2;
-  if (n == 0) {
-    row_offsets_.assign(1, 0);
-    return;
-  }
 
-  // Width r = max set bit + 1; dense bitsets beat the sparse merge when
-  // the tags are dense enough that the word loop touches fewer words
-  // than the merge touches entries.
-  std::size_t width = 0;
-  std::uint64_t total_bits = 0;
+  obs::Span span("pipeline.candidate_gen");
+  span.arg("chunks", static_cast<std::uint64_t>(n));
+
+  // A chunk tag is a 0/1 vector: score it as (position, 1) entries.
+  std::vector<ClusterTag::Entry> entries;
   for (const auto& chunk : chunks) {
-    if (!chunk.tag.bits().empty()) {
-      width = std::max<std::size_t>(width, chunk.tag.bits().back() + 1);
+    for (const std::uint32_t bit : chunk.tag.bits()) {
+      entries.push_back(ClusterTag::Entry{bit, 1});
     }
-    total_bits += chunk.tag.bits().size();
   }
-  const std::uint64_t avg_popcount = total_bits / n;
-  const bool use_bitsets =
-      width > 0 && width <= options.bitset_width_limit &&
-      (options.exact || width <= 256 * std::max<std::uint64_t>(avg_popcount, 1));
-  std::vector<DynamicBitset> dense;
-  if (use_bitsets) {
-    dense.resize(n);
+  std::vector<std::span<const ClusterTag::Entry>> nodes;
+  nodes.reserve(n);
+  std::size_t next = 0;
+  for (const auto& chunk : chunks) {
+    nodes.emplace_back(entries.data() + next, chunk.tag.bits().size());
+    next += chunk.tag.bits().size();
+  }
+  auto rows = score_shared_pairs(nodes, options.pool);
+
+  // Banding only removes pairs; the kept weights stay exact.
+  if (options.banding.enabled()) {
+    const std::size_t bands = options.banding.bands;
+    std::vector<std::uint64_t> band_keys(static_cast<std::size_t>(n) * bands);
     for_rows(options.pool, n, [&](std::size_t lo, std::size_t hi) {
       for (std::size_t v = lo; v < hi; ++v) {
-        dense[v] = chunks[v].tag.to_bitset(width);
+        minhash_band_keys(chunks[v].tag.bits(), options.banding,
+                          band_keys.data() + v * bands);
       }
     });
-  }
-  const auto score_pair = [&](std::uint32_t a, std::uint32_t b) {
-    return use_bitsets ? dense[a].and_count(dense[b])
-                       : chunks[a].tag.common_bits(chunks[b].tag);
-  };
-
-  std::vector<std::vector<RowHit>> rows(n);
-  if (options.exact) {
-    // Reference oracle: exhaustive pairwise sweep, row-partitioned over
-    // the upper triangle.
-    stats_.scored_pairs = stats_.total_pairs;
-    for_rows(options.pool, n, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t a = lo; a < hi; ++a) {
-        auto& row = rows[a];
-        for (std::uint32_t b = static_cast<std::uint32_t>(a) + 1; b < n;
-             ++b) {
-          const std::uint64_t w = score_pair(static_cast<std::uint32_t>(a), b);
-          if (w > 0) row.push_back(RowHit{b, w});
-        }
-      }
-    });
-  } else {
-    // Stage 1: candidate generation.  Build the data-chunk inverted
-    // index (posting lists of chunk ids, ascending by construction) and
-    // read candidate pairs off it: chunk b is a candidate partner of a
-    // iff some uncapped posting list contains both.  Banding then prunes
-    // candidates that agree on no minhash band.
-    const auto generate_start = std::chrono::steady_clock::now();
-    obs::Span gen_span("pipeline.candidate_gen");
-    gen_span.arg("chunks", static_cast<std::uint64_t>(n));
-
-    std::vector<std::vector<std::uint32_t>> postings(width);
-    for (std::uint32_t a = 0; a < n; ++a) {
-      for (const std::uint32_t bit : chunks[a].tag.bits()) {
-        postings[bit].push_back(a);
-      }
-    }
-    std::uint64_t hot_skipped = 0;
-    if (options.hot_posting_cap > 0) {
-      for (auto& list : postings) {
-        if (list.size() > options.hot_posting_cap) {
-          list.clear();  // skip the whole posting: too hot to enumerate
-          ++hot_skipped;
-        }
-      }
-    }
-    stats_.hot_postings_skipped = hot_skipped;
-
-    std::vector<std::uint64_t> band_keys;
-    if (options.banding.enabled()) {
-      band_keys.resize(static_cast<std::size_t>(n) * options.banding.bands);
-      for_rows(options.pool, n, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t v = lo; v < hi; ++v) {
-          minhash_band_keys(chunks[v].tag.bits(), options.banding,
-                            band_keys.data() + v * options.banding.bands);
-        }
+    for (std::size_t a = 0; a < n; ++a) {
+      const std::size_t before = rows[a].size();
+      std::erase_if(rows[a], [&](const PairDot& hit) {
+        return !minhash_shares_band(band_keys.data() + a * bands,
+                                    band_keys.data() + hit.b * bands,
+                                    options.banding);
       });
+      stats_.banding_pruned += before - rows[a].size();
     }
-
-    std::vector<std::vector<std::uint32_t>> candidates(n);
-    std::atomic<std::uint64_t> pruned{0};
-    std::atomic<std::uint64_t> scored{0};
-    for_rows(options.pool, n, [&](std::size_t lo, std::size_t hi) {
-      std::vector<std::uint32_t> scratch;
-      std::uint64_t local_pruned = 0;
-      std::uint64_t local_kept = 0;
-      for (std::size_t a = lo; a < hi; ++a) {
-        scratch.clear();
-        for (const std::uint32_t bit : chunks[a].tag.bits()) {
-          const auto& list = postings[bit];
-          // Only partners above a: the pair (a, b) is generated once,
-          // when a is the smaller id.
-          auto it = std::upper_bound(list.begin(), list.end(),
-                                     static_cast<std::uint32_t>(a));
-          scratch.insert(scratch.end(), it, list.end());
-        }
-        std::sort(scratch.begin(), scratch.end());
-        scratch.erase(std::unique(scratch.begin(), scratch.end()),
-                      scratch.end());
-        if (options.banding.enabled()) {
-          const std::uint64_t* keys_a =
-              band_keys.data() + a * options.banding.bands;
-          auto& out = candidates[a];
-          out.reserve(scratch.size());
-          for (const std::uint32_t b : scratch) {
-            if (minhash_shares_band(
-                    keys_a, band_keys.data() + b * options.banding.bands,
-                    options.banding)) {
-              out.push_back(b);
-            } else {
-              ++local_pruned;
-            }
-          }
-          local_kept += out.size();
-        } else {
-          candidates[a] = scratch;
-          local_kept += scratch.size();
-        }
-      }
-      pruned.fetch_add(local_pruned, std::memory_order_relaxed);
-      scored.fetch_add(local_kept, std::memory_order_relaxed);
-    });
-    stats_.banding_pruned = pruned.load();
-    stats_.scored_pairs = scored.load();
-    stats_.generate_ms = elapsed_ms(generate_start);
-    gen_span.arg("candidate_pairs", stats_.scored_pairs);
-    gen_span.arg("pairs_pruned", stats_.banding_pruned);
-    gen_span.end();
-    MLSC_COUNTER_ADD("graph.candidate_pairs", stats_.scored_pairs);
-    MLSC_COUNTER_ADD("graph.pairs_pruned", stats_.banding_pruned);
-    MLSC_COUNTER_ADD("graph.hot_postings_skipped", hot_skipped);
-
-    // Stage 2: score the survivors with the exact tag intersection.
-    // Every candidate shares at least one uncapped data chunk, so all
-    // weights are nonzero; the weights themselves are exact (capping
-    // and banding decide *which* pairs are scored, never the score).
-    const auto score_start = std::chrono::steady_clock::now();
-    obs::Span score_span("pipeline.pair_scoring");
-    score_span.arg("pairs", stats_.scored_pairs);
-    for_rows(options.pool, n, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t a = lo; a < hi; ++a) {
-        auto& row = rows[a];
-        row.reserve(candidates[a].size());
-        for (const std::uint32_t b : candidates[a]) {
-          const std::uint64_t w = score_pair(static_cast<std::uint32_t>(a), b);
-          if (w > 0) row.push_back(RowHit{b, w});
-        }
-      }
-    });
-    stats_.score_ms = elapsed_ms(score_start);
-    score_span.end();
   }
 
-  // Freeze into edges_ ((a < b) lexicographic) and the symmetric CSR.
-  std::vector<std::size_t> degree(n, 0);
+  // Freeze into the symmetric CSR.  rows[y] lists y's partners x < y
+  // ascending; above[x] counts x's partners > x, which follow the
+  // partners < x in x's CSR row.
+  std::vector<std::size_t> above(n, 0);
   std::size_t num_edges = 0;
-  for (std::uint32_t a = 0; a < n; ++a) {
-    degree[a] += rows[a].size();
-    for (const RowHit& hit : rows[a]) ++degree[hit.b];
-    num_edges += rows[a].size();
+  for (std::uint32_t y = 0; y < n; ++y) {
+    for (const PairDot& hit : rows[y]) ++above[hit.b];
+    num_edges += rows[y].size();
   }
-  MLSC_CHECK(num_edges <= std::numeric_limits<std::uint32_t>::max(),
-             "similarity graph exceeds 2^32 edges");
-  edges_.reserve(num_edges);
+  stats_.scored_pairs = num_edges;
+  span.arg("candidate_pairs", stats_.scored_pairs);
+  span.arg("pairs_pruned", stats_.banding_pruned);
+  MLSC_COUNTER_ADD("graph.candidate_pairs", stats_.scored_pairs);
+  MLSC_COUNTER_ADD("graph.pairs_pruned", stats_.banding_pruned);
+  span.end();
+
   row_offsets_.assign(n + 1, 0);
   for (std::uint32_t v = 0; v < n; ++v) {
-    row_offsets_[v + 1] = row_offsets_[v] + degree[v];
+    row_offsets_[v + 1] = row_offsets_[v] + rows[v].size() + above[v];
   }
   col_.resize(2 * num_edges);
   weight_.resize(2 * num_edges);
-  edge_id_.resize(2 * num_edges);
 
-  std::vector<std::size_t> cursor(row_offsets_.begin(),
-                                  row_offsets_.end() - 1);
-  for (std::uint32_t a = 0; a < n; ++a) {
-    for (const RowHit& hit : rows[a]) {
-      const auto id = static_cast<std::uint32_t>(edges_.size());
-      edges_.push_back(GraphEdge{a, hit.b, hit.weight});
-      // Visiting edges in (a, b) lexicographic order fills every CSR row
-      // in ascending neighbor order: row v first receives its partners
-      // < v (while they are the row), then its partners > v (when v is).
-      std::size_t slot = cursor[a]++;
+  // Visiting y ascending appends each x's partners > x in ascending
+  // order, after the partners < x that x's own scorer row wrote.
+  std::vector<std::size_t> next_above(n);
+  for (std::uint32_t v = 0; v < n; ++v) {
+    next_above[v] = row_offsets_[v + 1] - above[v];
+  }
+  for (std::uint32_t y = 0; y < n; ++y) {
+    std::size_t slot = row_offsets_[y];
+    for (const PairDot& hit : rows[y]) {
       col_[slot] = hit.b;
-      weight_[slot] = hit.weight;
-      edge_id_[slot] = id;
-      slot = cursor[hit.b]++;
-      col_[slot] = a;
-      weight_[slot] = hit.weight;
-      edge_id_[slot] = id;
+      weight_[slot++] = hit.dot;
+      col_[next_above[hit.b]] = y;
+      weight_[next_above[hit.b]++] = hit.dot;
+    }
+    rows[y] = {};
+  }
+
+  // edges_ in (a < b) lexicographic order: each row's partners > a.
+  edges_.reserve(num_edges);
+  for (std::uint32_t a = 0; a < n; ++a) {
+    for (std::size_t slot = row_offsets_[a + 1] - above[a];
+         slot < row_offsets_[a + 1]; ++slot) {
+      edges_.push_back(GraphEdge{a, col_[slot], weight_[slot]});
     }
   }
 }
 
-std::size_t ChunkGraph::csr_find(std::uint32_t a, std::uint32_t b) const {
+std::uint64_t ChunkGraph::weight(std::uint32_t a, std::uint32_t b) const {
   MLSC_DCHECK(a < num_nodes_ && b < num_nodes_, "graph node out of range");
   const auto begin = col_.begin() + row_offsets_[a];
   const auto end = col_.begin() + row_offsets_[a + 1];
   const auto it = std::lower_bound(begin, end, b);
-  if (it == end || *it != b) return SIZE_MAX;
-  return static_cast<std::size_t>(it - col_.begin());
-}
-
-std::uint64_t ChunkGraph::weight(std::uint32_t a, std::uint32_t b) const {
-  if (a == b) return 0;
-  const std::size_t slot = csr_find(a, b);
-  if (slot != SIZE_MAX) return weight_[slot];
-  if (!extra_edge_id_.empty()) {
-    const auto it = extra_edge_id_.find(pair_key(a, b));
-    if (it != extra_edge_id_.end()) return edges_[it->second].weight;
-  }
-  return 0;
+  if (it == end || *it != b) return 0;
+  return weight_[static_cast<std::size_t>(it - col_.begin())];
 }
 
 std::span<const std::uint32_t> ChunkGraph::neighbors(
     std::uint32_t node) const {
   MLSC_DCHECK(node < num_nodes_, "graph node out of range");
-  if (!patched_rows_.empty()) {
-    const auto it = patched_rows_.find(node);
-    if (it != patched_rows_.end()) {
-      return {it->second.data(), it->second.size()};
-    }
-  }
   return {col_.data() + row_offsets_[node],
           row_offsets_[node + 1] - row_offsets_[node]};
-}
-
-void ChunkGraph::set_infinite(std::uint32_t a, std::uint32_t b) {
-  MLSC_CHECK(a != b, "cannot set a self edge");
-  MLSC_CHECK(a < num_nodes_ && b < num_nodes_, "graph node out of range");
-  const std::size_t slot_ab = csr_find(a, b);
-  if (slot_ab != SIZE_MAX) {
-    const std::size_t slot_ba = csr_find(b, a);
-    weight_[slot_ab] = GraphEdge::kInfiniteWeight;
-    weight_[slot_ba] = GraphEdge::kInfiniteWeight;
-    edges_[edge_id_[slot_ab]].weight = GraphEdge::kInfiniteWeight;
-    return;
-  }
-
-  const std::uint64_t key = pair_key(a, b);
-  const auto existing = extra_edge_id_.find(key);
-  if (existing != extra_edge_id_.end()) {
-    edges_[existing->second].weight = GraphEdge::kInfiniteWeight;
-    return;
-  }
-
-  // Brand-new edge on a zero-weight pair: record it and patch both rows.
-  extra_edge_id_.emplace(
-      key, static_cast<std::uint32_t>(edges_.size()));
-  edges_.push_back(GraphEdge{std::min(a, b), std::max(a, b),
-                             GraphEdge::kInfiniteWeight});
-  for (const auto& [node, other] : {std::pair{a, b}, std::pair{b, a}}) {
-    auto& row = patched_rows_[node];
-    if (row.empty()) {
-      const auto span = std::span<const std::uint32_t>(
-          col_.data() + row_offsets_[node],
-          row_offsets_[node + 1] - row_offsets_[node]);
-      row.assign(span.begin(), span.end());
-    }
-    row.insert(std::lower_bound(row.begin(), row.end(), other), other);
-  }
 }
 
 std::string ChunkGraph::to_dot(const std::vector<IterationChunk>& chunks,
@@ -334,13 +235,8 @@ std::string ChunkGraph::to_dot(const std::vector<IterationChunk>& chunks,
         << chunks[n].tag.to_string(tag_width) << "\"];\n";
   }
   for (const auto& e : edges_) {
-    out << "  g" << e.a << " -- g" << e.b << " [label=\"";
-    if (e.weight == GraphEdge::kInfiniteWeight) {
-      out << "inf";
-    } else {
-      out << e.weight;
-    }
-    out << "\"];\n";
+    out << "  g" << e.a << " -- g" << e.b << " [label=\"" << e.weight
+        << "\"];\n";
   }
   out << "}\n";
   return out.str();

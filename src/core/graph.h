@@ -1,116 +1,98 @@
-// The iteration-chunk similarity graph (paper §4.3, initialization step).
+// The iteration-chunk similarity graph (paper §4.3, initialization step)
+// and the shared-data pair scorer behind it.
 //
 // Nodes are iteration chunks; the weight of edge (γΛi, γΛj) is the number
 // of common "1" bits in Λi ∧ Λj — the amount of data the two chunks
 // share at chunk granularity.  Zero-weight pairs get no edge (Fig. 8
 // omits them too).
 //
-// Construction is a three-stage kernel (DESIGN.md §15):
-//   1. candidate generation — similarity is nonzero only for chunks that
-//      share at least one data chunk, so candidate pairs are read off a
-//      data-chunk inverted index (posting lists of chunk ids per data
-//      chunk) instead of enumerating all O(V^2) pairs.  A hot-posting cap
-//      can skip pathologically shared data chunks, and optional
-//      minhash/LSH banding (core/minhash.h) prunes near-zero-similarity
-//      candidates before they are scored.  Both filters only *remove*
-//      pairs: the filtered graph is always a subgraph of the exact one,
-//      and with both disabled (the default) the graph is identical to
-//      the exhaustive sweep's.
-//   2. scoring — surviving pairs are scored with the exact tag
-//      intersection (DynamicBitset::and_count on densified tags, or the
-//      sparse merge when tags are sparse relative to the width).
-//   3. freeze — the nonzero structure is frozen into a symmetric CSR
-//      adjacency: row offsets plus sorted neighbor / weight / edge-id
-//      arrays.  weight() is a binary search in a row (O(log degree)),
-//      neighbors() is a zero-copy span over a row, and set_infinite()
-//      updates the two directed entries plus the edge record in
-//      O(log degree).  Dependence pinning of a pair with *zero* shared
-//      data inserts a new edge after the freeze; such rows are patched
-//      into small side tables so every accessor stays consistent.
+// score_shared_pairs is the one all-pairs kernel (DESIGN.md §15).  Two
+// nodes score nonzero only if they share a data chunk, so it reads the
+// pairs off a data-chunk inverted index (posting lists of node ids per
+// data chunk) and accumulates each row's dot products in one pass,
+// instead of enumerating all O(V^2) pairs.  The similarity graph (tags
+// as counts of 1), the greedy merge's initial sweep and the affinity
+// forest's candidate edges (cluster-tag counts) all score through it.
 //
-// The pre-existing exhaustive O(V^2) sweep is kept behind
-// GraphOptions::exact as the reference oracle for equivalence tests and
-// the quality bench.
+// ChunkGraph scores with it, optionally drops the pairs that agree on no
+// minhash band (core/minhash.h — a subgraph with exact weights), and
+// freezes the rest into a symmetric CSR adjacency: row offsets plus
+// sorted neighbor / weight arrays.  weight() is a binary search in a row
+// (O(log degree)) and neighbors() is a zero-copy span over a row.
+//
+// exhaustive_similarity_edges is the O(V^2) reference sweep for the
+// equivalence tests and the similarity bench.
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/iteration_chunk.h"
 #include "core/minhash.h"
+#include "core/tag.h"
 #include "support/thread_pool.h"
 
 namespace mlsc::core {
+
+/// One scored pair of a scorer row a: the partner b < a and
+/// dot(a, b) = Σ count_a[k] · count_b[k] over the positions they share.
+struct PairDot {
+  std::uint32_t b = 0;
+  std::uint64_t dot = 0;
+};
+
+/// The all-pairs shared-data scorer.  nodes[v] is node v's (position,
+/// count) list sorted by position, counts > 0.  Returns one row per node:
+/// row a holds every b < a sharing at least one position with a, in
+/// ascending b, with their dot product.  Rows are filled into per-row
+/// slots over `pool` (null or a 1-thread pool runs serially), so the
+/// result is identical at any thread count.
+std::vector<std::vector<PairDot>> score_shared_pairs(
+    std::span<const std::span<const ClusterTag::Entry>> nodes,
+    ThreadPool* pool);
 
 struct GraphEdge {
   std::uint32_t a = 0;
   std::uint32_t b = 0;
   std::uint64_t weight = 0;
-
-  static constexpr std::uint64_t kInfiniteWeight =
-      std::numeric_limits<std::uint64_t>::max();
 };
 
+/// The O(V^2) reference sweep: every nonzero ChunkTag::common_bits pair,
+/// in (a < b) lexicographic order.  Serial; for tests and benches.
+std::vector<GraphEdge> exhaustive_similarity_edges(
+    const std::vector<IterationChunk>& chunks);
+
 struct GraphOptions {
-  /// Upper bound on the node count.  Candidate generation is output-
-  /// sensitive and the CSR is O(V + E); the default admits a million
-  /// chunks while still catching accidental explosion.
+  /// Upper bound on the node count.  Scoring is output-sensitive and the
+  /// CSR is O(V + E); the default admits a million chunks while still
+  /// catching accidental explosion.
   std::size_t max_nodes = 1u << 20;
 
-  /// Tags whose width (max set bit + 1) is at most this many bits are
-  /// densified into DynamicBitsets so scoring runs on the SIMD/unrolled
-  /// word-level and_count instead of the sparse merge.  Candidate
-  /// scoring additionally requires the tags to be dense enough for the
-  /// word loop to beat the sparse merge (see graph.cc).
-  std::size_t bitset_width_limit = 1u << 15;
-
-  /// Pool for candidate generation and scoring; null (or a 1-thread
-  /// pool) runs serially.  Either way the result is identical — rows are
-  /// independent.
+  /// Pool for scoring; null (or a 1-thread pool) runs serially.  Either
+  /// way the result is identical — rows are independent.
   ThreadPool* pool = nullptr;
 
-  /// Run the exhaustive O(V^2) pairwise sweep instead of inverted-index
-  /// candidate generation.  The reference oracle: slower, but immune to
-  /// the hot-posting cap and banding filters below.
-  bool exact = false;
-
-  /// Posting lists longer than this many chunks are skipped during
-  /// candidate generation (0 = no cap).  A data chunk shared by
-  /// thousands of iteration chunks (a universally-read table) generates
-  /// near-uniform similarity and a quadratic blowup of candidates;
-  /// capping it prunes those pairs.  Pairs that share *only* capped data
-  /// chunks are lost (subgraph), all other weights stay exact.
-  std::size_t hot_posting_cap = 0;
-
   /// Minhash/LSH banding of the tag bitsets; banding.bands == 0 (the
-  /// default) disables it.  When enabled, candidates that agree on no
-  /// band are pruned before scoring.
+  /// default) disables it.  When enabled, scored pairs that agree on no
+  /// band are dropped.
   MinhashParams banding;
 };
 
 /// Construction statistics, for benchmarks and the candidate-pair
 /// reduction gate in CI.
 struct GraphStats {
-  /// All unordered pairs, n*(n-1)/2 — what the exact sweep scores.
+  /// All unordered pairs, n*(n-1)/2 — what the exhaustive sweep scores.
   std::uint64_t total_pairs = 0;
-  /// Pairs actually scored (candidate pairs surviving every filter; for
-  /// the exact sweep this equals total_pairs).
+  /// Pairs kept as edges: those sharing a data chunk, less any banding
+  /// pruned.
   std::uint64_t scored_pairs = 0;
-  /// Candidates pruned by minhash banding before scoring.
+  /// Pairs sharing a data chunk that banding pruned.
   std::uint64_t banding_pruned = 0;
-  /// Posting lists skipped by the hot-posting cap.
-  std::uint64_t hot_postings_skipped = 0;
-  /// Wall clock of the generate and score stages (candidate path only).
-  double generate_ms = 0.0;
-  double score_ms = 0.0;
-  bool exact = false;
 
   /// scored / total — the candidate-pair reduction the inverted index
-  /// bought (1.0 for the exact sweep; lower is better).
+  /// bought (lower is better).
   double reduction_ratio() const {
     return total_pairs == 0
                ? 0.0
@@ -121,9 +103,8 @@ struct GraphStats {
 
 class ChunkGraph {
  public:
-  /// Builds the complete similarity structure over the chunk table —
-  /// candidate generation + scoring by default, the exhaustive sweep
-  /// with options.exact — then freezes it into CSR form.
+  /// Scores the chunk table with score_shared_pairs, applies banding,
+  /// and freezes the result into CSR form.
   explicit ChunkGraph(const std::vector<IterationChunk>& chunks,
                       const GraphOptions& options = {});
 
@@ -136,52 +117,29 @@ class ChunkGraph {
   std::uint64_t weight(std::uint32_t a, std::uint32_t b) const;
 
   /// Neighbors of a node with nonzero weight, ascending, as a view over
-  /// the CSR row (no allocation).  Valid until the graph is destroyed;
-  /// set_infinite() on a previously-zero pair repoints the affected rows
-  /// but never invalidates spans of untouched nodes.
+  /// the CSR row (no allocation).  Valid until the graph is destroyed.
   std::span<const std::uint32_t> neighbors(std::uint32_t node) const;
 
   std::size_t degree(std::uint32_t node) const {
     return neighbors(node).size();
   }
 
-  /// Marks two chunks as inseparable (dependence extension §5.4,
-  /// strategy 1): the edge weight becomes infinite.  O(log degree) when
-  /// the pair already shares data; inserting a brand-new edge costs
-  /// O(degree) for the two patched rows.
-  void set_infinite(std::uint32_t a, std::uint32_t b);
-
-  /// Graphviz dot rendering (used by the examples).
+  /// Graphviz dot rendering (used by the paper example).
   std::string to_dot(const std::vector<IterationChunk>& chunks,
                      std::size_t tag_width) const;
 
  private:
-  static std::uint64_t pair_key(std::uint32_t a, std::uint32_t b) {
-    if (a > b) std::swap(a, b);
-    return (static_cast<std::uint64_t>(a) << 32) | b;
-  }
-
-  /// Index into col_/weight_ of `b` within `a`'s CSR row, or SIZE_MAX.
-  std::size_t csr_find(std::uint32_t a, std::uint32_t b) const;
-
   std::size_t num_nodes_ = 0;
   GraphStats stats_;
 
   // Symmetric CSR adjacency: row v is
-  // col_[row_offsets_[v] .. row_offsets_[v+1]), sorted ascending, with
-  // parallel weight_ and edge_id_ (index into edges_) arrays.
+  // col_[row_offsets_[v] .. row_offsets_[v+1]), sorted ascending, with a
+  // parallel weight_ array.
   std::vector<std::size_t> row_offsets_;
   std::vector<std::uint32_t> col_;
   std::vector<std::uint64_t> weight_;
-  std::vector<std::uint32_t> edge_id_;
 
   std::vector<GraphEdge> edges_;  // nonzero edges, (a < b) lexicographic
-
-  // Post-freeze dependence pins on zero-weight pairs: the new edge's
-  // weight keyed by packed pair, and for each affected node a rebuilt
-  // sorted row that neighbors() serves instead of the CSR row.
-  std::unordered_map<std::uint64_t, std::uint32_t> extra_edge_id_;
-  std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> patched_rows_;
 };
 
 }  // namespace mlsc::core

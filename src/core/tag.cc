@@ -20,9 +20,7 @@ bool ChunkTag::test(std::uint32_t pos) const {
 
 std::size_t ChunkTag::common_bits(const ChunkTag& other) const {
   // Skewed sizes: galloping search of the small side into the large one,
-  // O(|small| log |large|) instead of O(|small| + |large|).  The dense
-  // word-level path lives in DynamicBitset::and_count; the similarity
-  // graph densifies tags and uses it when the tag width is modest.
+  // O(|small| log |large|) instead of O(|small| + |large|).
   const std::vector<std::uint32_t>* small = &bits_;
   const std::vector<std::uint32_t>* large = &other.bits_;
   if (small->size() > large->size()) std::swap(small, large);
@@ -90,12 +88,6 @@ std::string ChunkTag::to_string(std::size_t r) const {
     out[b] = '1';
   }
   return out;
-}
-
-DynamicBitset ChunkTag::to_bitset(std::size_t r) const {
-  DynamicBitset set(r);
-  for (std::uint32_t b : bits_) set.set(b);
-  return set;
 }
 
 void ClusterTag::add(const ChunkTag& tag) {

@@ -15,8 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "support/dynamic_bitset.h"
-
 namespace mlsc::core {
 
 class ClusterTag;
@@ -53,7 +51,6 @@ class ChunkTag {
 
   /// Dense rendering "1010..." of width r, matching Fig. 8's notation.
   std::string to_string(std::size_t r) const;
-  DynamicBitset to_bitset(std::size_t r) const;
 
  private:
   std::vector<std::uint32_t> bits_;  // sorted, unique

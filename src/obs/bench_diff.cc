@@ -297,8 +297,7 @@ std::string record_build_id(const JsonValue& record) {
     const std::string value = record_metadata_string(record, key);
     return value.empty() ? std::string("?") : value;
   };
-  return "git " + field("git_sha") + ", simd " + field("simd_level") +
-         ", " + field("build_type");
+  return "git " + field("git_sha") + ", " + field("build_type");
 }
 
 int DiffResult::exit_code() const {

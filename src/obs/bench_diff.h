@@ -61,10 +61,10 @@ std::vector<FlatMetric> flatten_run_record(const JsonValue& record);
 /// Repetition count stamped in the record's metadata (1 when absent).
 std::size_t record_repetitions(const JsonValue& record);
 
-/// One-line build identity from the record's metadata: git SHA, SIMD
-/// dispatch level and build type (each "?" when the record predates the
-/// stamp).  The diff tool prints this for both sides so baselines
-/// recorded on different builds/hardware are immediately visible.
+/// One-line build identity from the record's metadata: git SHA and build
+/// type (each "?" when the record predates the stamp).  The diff tool
+/// prints this for both sides so baselines recorded on different builds
+/// are immediately visible.
 std::string record_build_id(const JsonValue& record);
 
 /// The metadata string at `key`, or "" when absent/not a string.

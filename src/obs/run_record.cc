@@ -29,10 +29,6 @@ void RunRecord::write_json(std::ostream& out) const {
     out << ", \"git_sha\": ";
     write_json_string(out, git_sha);
   }
-  if (!simd_level.empty()) {
-    out << ", \"simd_level\": ";
-    write_json_string(out, simd_level);
-  }
   if (has_seed) out << ", \"seed\": " << seed;
   out << "},\n \"phases\": [";
   for (std::size_t i = 0; i < phases.size(); ++i) {

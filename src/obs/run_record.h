@@ -32,7 +32,6 @@ struct RunRecord {
   std::vector<std::string> apps;   // application subset that ran
   std::string build_type;          // CMAKE_BUILD_TYPE
   std::string git_sha;             // commit the binary was built from
-  std::string simd_level;          // and_count dispatch: avx2/neon/portable
   unsigned hardware_threads = 0;
   std::size_t repetitions = 1;     // timing repetitions (--reps)
   std::uint64_t seed = 0;          // pinned RNG seed, when the run has one

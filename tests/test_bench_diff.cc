@@ -234,11 +234,11 @@ TEST(BenchDiff, RecordBuildIdFromMetadata) {
   EXPECT_EQ(record_metadata_string(record, "git_sha"), "abc123def456");
   EXPECT_EQ(record_metadata_string(record, "simd_level"), "avx2");
   EXPECT_EQ(record_metadata_string(record, "no_such_key"), "");
-  EXPECT_EQ(record_build_id(record), "git abc123def456, simd avx2, Release");
+  EXPECT_EQ(record_build_id(record), "git abc123def456, Release");
 
   // Records that predate the stamps degrade to "?" placeholders.
   const JsonValue legacy = parse_json(kRecord);
-  EXPECT_EQ(record_build_id(legacy), "git ?, simd ?, Release");
+  EXPECT_EQ(record_build_id(legacy), "git ?, Release");
 }
 
 TEST(BenchDiff, ParseMinAssertion) {

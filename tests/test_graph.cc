@@ -50,39 +50,6 @@ TEST(ChunkGraph, EdgesOmitZeroWeights) {
   EXPECT_EQ(graph.degree(0), 1u);
 }
 
-TEST(ChunkGraph, InfiniteWeightForDependences) {
-  std::vector<IterationChunk> chunks{
-      make_chunk(0, {0}),
-      make_chunk(4, {1}),
-  };
-  ChunkGraph graph(chunks);
-  EXPECT_EQ(graph.weight(0, 1), 0u);
-  graph.set_infinite(0, 1);
-  EXPECT_EQ(graph.weight(0, 1), GraphEdge::kInfiniteWeight);
-  EXPECT_EQ(graph.weight(1, 0), GraphEdge::kInfiniteWeight);
-  EXPECT_EQ(graph.edges().size(), 1u);
-  EXPECT_EQ(graph.edges()[0].weight, GraphEdge::kInfiniteWeight);
-  // The pinned edge shows up in both patched adjacency rows.
-  EXPECT_EQ(neighbor_list(graph, 0), (std::vector<std::uint32_t>{1}));
-  EXPECT_EQ(neighbor_list(graph, 1), (std::vector<std::uint32_t>{0}));
-}
-
-TEST(ChunkGraph, SetInfiniteOnExistingEdgeUpdatesInPlace) {
-  std::vector<IterationChunk> chunks{
-      make_chunk(0, {0, 1}),
-      make_chunk(4, {1, 2}),
-      make_chunk(8, {2, 3}),
-  };
-  ChunkGraph graph(chunks);
-  ASSERT_EQ(graph.weight(0, 1), 1u);
-  graph.set_infinite(0, 1);
-  EXPECT_EQ(graph.weight(0, 1), GraphEdge::kInfiniteWeight);
-  EXPECT_EQ(graph.weight(1, 2), 1u);  // untouched edge keeps its weight
-  EXPECT_EQ(graph.edges().size(), 2u);
-  // Rows were updated in place, not patched.
-  EXPECT_EQ(neighbor_list(graph, 1), (std::vector<std::uint32_t>{0, 2}));
-}
-
 TEST(ChunkGraph, ParallelSweepMatchesSerial) {
   Rng rng(7);
   std::vector<IterationChunk> chunks;
@@ -149,19 +116,24 @@ void expect_same_graph(const ChunkGraph& a, const ChunkGraph& b) {
 }
 
 TEST(ChunkGraph, CandidateGenerationMatchesExactSweep) {
-  // With every filter off, the inverted-index path must produce the
-  // exact graph: a pair has nonzero weight iff it shares a data chunk,
-  // which is precisely co-occurrence in a posting list.
+  // With banding off, the inverted-index path must produce the exact
+  // graph: a pair has nonzero weight iff it shares a data chunk, which is
+  // precisely co-occurrence in a posting list.
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     const auto chunks = random_chunks(400, seed, 96, 5);
     const ChunkGraph candidate(chunks);
-    GraphOptions exact_options;
-    exact_options.exact = true;
-    const ChunkGraph exact(chunks, exact_options);
-    expect_same_graph(exact, candidate);
-    EXPECT_FALSE(candidate.stats().exact);
-    EXPECT_TRUE(exact.stats().exact);
-    EXPECT_EQ(exact.stats().scored_pairs, exact.stats().total_pairs);
+    const auto exact = exhaustive_similarity_edges(chunks);
+    ASSERT_EQ(candidate.edges().size(), exact.size());
+    for (std::size_t i = 0; i < exact.size(); ++i) {
+      EXPECT_EQ(candidate.edges()[i].a, exact[i].a);
+      EXPECT_EQ(candidate.edges()[i].b, exact[i].b);
+      EXPECT_EQ(candidate.edges()[i].weight, exact[i].weight);
+      EXPECT_EQ(candidate.weight(exact[i].b, exact[i].a), exact[i].weight);
+    }
+    std::size_t degree_sum = 0;
+    for (std::uint32_t v = 0; v < 400; ++v) degree_sum += candidate.degree(v);
+    EXPECT_EQ(degree_sum, 2 * exact.size());
+    EXPECT_EQ(candidate.stats().scored_pairs, exact.size());
     EXPECT_LT(candidate.stats().scored_pairs,
               candidate.stats().total_pairs);
     EXPECT_EQ(candidate.stats().total_pairs, 400u * 399u / 2u);
@@ -184,27 +156,6 @@ TEST(ChunkGraph, BandingProducesSubgraphWithExactWeights) {
   EXPECT_GT(banded.stats().banding_pruned, 0u);
   EXPECT_EQ(banded.stats().scored_pairs + banded.stats().banding_pruned,
             exact.stats().scored_pairs);
-}
-
-TEST(ChunkGraph, HotPostingCapProducesSubgraph) {
-  // One data chunk (bit 0) is shared by everyone; capping its posting
-  // list prunes pairs that share only it.
-  std::vector<IterationChunk> chunks;
-  for (std::uint32_t i = 0; i < 40; ++i) {
-    chunks.push_back(make_chunk(static_cast<std::uint64_t>(i) * 4,
-                                {0u, 1u + i / 2u}));
-  }
-  const ChunkGraph exact(chunks);
-  GraphOptions capped_options;
-  capped_options.hot_posting_cap = 8;
-  const ChunkGraph capped(chunks, capped_options);
-  EXPECT_EQ(capped.stats().hot_postings_skipped, 1u);
-  EXPECT_LT(capped.num_edges(), exact.num_edges());
-  for (const GraphEdge& e : capped.edges()) {
-    // Surviving pairs keep their exact weight (including the capped
-    // bit's contribution — only candidate *generation* skipped it).
-    EXPECT_EQ(e.weight, exact.weight(e.a, e.b));
-  }
 }
 
 TEST(ChunkGraph, CandidatePathParallelMatchesSerial) {

@@ -275,12 +275,10 @@ TEST(RunRecordJson, CarriesBuildStampsWhenSet) {
   record.binary = "bench_test";
   record.build_type = "Release";
   record.git_sha = "abc123def456";
-  record.simd_level = "portable";
   std::ostringstream out;
   record.write_json(out);
   const std::string json = out.str();
   EXPECT_NE(json.find("\"git_sha\": \"abc123def456\""), std::string::npos);
-  EXPECT_NE(json.find("\"simd_level\": \"portable\""), std::string::npos);
 
   // Unset stamps are omitted, keeping legacy records byte-identical.
   obs::RunRecord legacy;
@@ -288,7 +286,6 @@ TEST(RunRecordJson, CarriesBuildStampsWhenSet) {
   std::ostringstream legacy_out;
   legacy.write_json(legacy_out);
   EXPECT_EQ(legacy_out.str().find("git_sha"), std::string::npos);
-  EXPECT_EQ(legacy_out.str().find("simd_level"), std::string::npos);
 }
 
 TEST(HistogramQuantile, EmptyHistogramIsNaN) {

@@ -137,18 +137,7 @@ int main(int argc, char** argv) {
 
     if (!csv) {
       std::cout << "baseline: " << obs::record_build_id(baseline) << "\n"
-                << "current:  " << obs::record_build_id(current) << "\n";
-      const std::string base_simd =
-          obs::record_metadata_string(baseline, "simd_level");
-      const std::string cur_simd =
-          obs::record_metadata_string(current, "simd_level");
-      if (!base_simd.empty() && !cur_simd.empty() &&
-          base_simd != cur_simd) {
-        std::cout << "note: SIMD dispatch differs (" << base_simd
-                  << " vs " << cur_simd
-                  << ") — timing deltas reflect hardware, not code\n";
-      }
-      std::cout << "\n";
+                << "current:  " << obs::record_build_id(current) << "\n\n";
     }
 
     const Table table = obs::diff_table(result, color, all);

@@ -21,7 +21,6 @@
 #include "obs/run_record.h"
 #include "sim/experiment.h"
 #include "support/argparse.h"
-#include "support/dynamic_bitset.h"
 #include "support/log.h"
 #include "support/string_util.h"
 #include "support/table.h"
@@ -152,7 +151,6 @@ int main(int argc, char** argv) {
   record.apps = names;
   record.build_type = MLSC_BUILD_TYPE;
   record.git_sha = MLSC_GIT_SHA;
-  record.simd_level = DynamicBitset::simd_dispatch_level();
   record.hardware_threads = std::thread::hardware_concurrency();
 
   try {

@@ -31,7 +31,6 @@
 #include "sim/experiment.h"
 #include "sim/report.h"
 #include "support/argparse.h"
-#include "support/dynamic_bitset.h"
 #include "support/log.h"
 #include "support/string_util.h"
 #include "support/table.h"
@@ -71,10 +70,6 @@ void print_usage(std::ostream& out, const char* argv0) {
          "(default auto)\n"
       << "  --forest-threshold N  auto switches to the forest kernel at N "
          "input clusters (default 8192)\n"
-      << "  --bands N --rows R  minhash banding for forest candidate "
-         "pruning (default off)\n"
-      << "  --hot-cap N         skip posting lists longer than N during "
-         "candidate generation (default 0 = off)\n"
       << "  --faults ARG        fault schedule: a JSON file or a spec "
          "string, e.g.\n"
       << "                      'fail@5ms:l2.0;transient@0:disk=0.01;"
@@ -169,14 +164,6 @@ int main(int argc, char** argv) {
         }
       } else if (args.value_flag("--forest-threshold")) {
         scheme.clustering.forest_threshold = args.value_u64();
-      } else if (args.value_flag("--bands")) {
-        scheme.clustering.banding.bands =
-            static_cast<std::uint32_t>(args.value_u64());
-      } else if (args.value_flag("--rows")) {
-        scheme.clustering.banding.rows =
-            static_cast<std::uint32_t>(args.value_u64());
-      } else if (args.value_flag("--hot-cap")) {
-        scheme.clustering.hot_posting_cap = args.value_u64();
       } else if (args.value_flag("--faults")) {
         faults_arg = args.value();
       } else if (args.flag("--remap")) {
@@ -232,7 +219,6 @@ int main(int argc, char** argv) {
   record.apps = {workload_name};
   record.build_type = MLSC_BUILD_TYPE;
   record.git_sha = MLSC_GIT_SHA;
-  record.simd_level = DynamicBitset::simd_dispatch_level();
   record.hardware_threads = std::thread::hardware_concurrency();
   auto write_record = [&] {
     if (common.json_path.empty()) return;
