@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
-#include <queue>
 #include <span>
-#include <unordered_map>
 
 #include "core/affinity_forest.h"
 #include "core/graph.h"
@@ -70,29 +68,68 @@ std::vector<Cluster> make_singletons(
 
 namespace {
 
-/// One candidate merge, with the versions of both clusters at the time
-/// the score was computed (lazy invalidation).
-///
-/// The score is the cluster-tag dot product normalized by the member
-/// counts (average linkage).  The raw bitwise-sum dot grows linearly
-/// with cluster size, so once any data chunk is shared universally (a
-/// Fock matrix, a catalog) the largest cluster out-bids every genuinely
-/// similar pair and the greedy snowballs into one blob.  Normalizing by
-/// |a|*|b| measures per-member similarity; on the paper's worked example
+/// The greedy merge's order over candidate pairs: the higher
+/// average-linkage score first, then the smaller lo, then the smaller
+/// hi.  The score is the cluster-tag dot product normalized by the
+/// member counts.  The raw bitwise-sum dot grows linearly with cluster
+/// size, so once any data chunk is shared universally (a Fock matrix, a
+/// catalog) the largest cluster out-bids every genuinely similar pair
+/// and the greedy snowballs into one blob.  Normalizing by |a|*|b|
+/// measures per-member similarity; on the paper's worked example
 /// (Fig. 8) it is what reproduces the Fig. 9 clusters.
-struct MergeCandidate {
-  double score = 0;
-  std::uint32_t a = 0;
-  std::uint32_t b = 0;
-  std::uint32_t version_a = 0;
-  std::uint32_t version_b = 0;
+struct PairKey {
+  double score = -1;  // < 0: no partner (real scores are > 0)
+  std::uint32_t lo = 0;
+  std::uint32_t hi = 0;
 
-  /// Max-heap by score; deterministic tie-break toward smaller indices.
-  bool operator<(const MergeCandidate& other) const {
-    if (score != other.score) return score < other.score;
-    if (a != other.a) return a > other.a;
-    return b > other.b;
+  bool beats(const PairKey& other) const {
+    if (score != other.score) return score > other.score;
+    if (lo != other.lo) return lo < other.lo;
+    return hi < other.hi;
   }
+};
+
+/// A cluster's best merge partner: its pair key and the partner's
+/// version when the key was scored.
+struct BestPartner {
+  PairKey key;
+  std::uint32_t partner_version = 0;
+};
+
+/// Winner tree over cluster ids: each internal node holds the id whose
+/// record wins its subtree, so the root is the globally best record in
+/// O(1) and a changed record replays one leaf-to-root path in O(log n).
+class WinnerTree {
+ public:
+  explicit WinnerTree(const std::vector<BestPartner>& best) : best_(best) {
+    while (leaves_ < best.size()) leaves_ *= 2;
+    node_.assign(2 * leaves_, kNone);
+    for (std::uint32_t i = 0; i < best.size(); ++i) node_[leaves_ + i] = i;
+    for (std::size_t i = leaves_; i-- > 1;) {
+      node_[i] = winner(node_[2 * i], node_[2 * i + 1]);
+    }
+  }
+
+  std::uint32_t top() const { return node_[1]; }
+
+  void update(std::uint32_t id) {
+    for (std::size_t i = (leaves_ + id) / 2; i >= 1; i /= 2) {
+      node_[i] = winner(node_[2 * i], node_[2 * i + 1]);
+    }
+  }
+
+ private:
+  static constexpr std::uint32_t kNone = UINT32_MAX;
+
+  std::uint32_t winner(std::uint32_t x, std::uint32_t y) const {
+    if (x == kNone) return y;
+    if (y == kNone) return x;
+    return best_[y].key.beats(best_[x].key) ? y : x;
+  }
+
+  const std::vector<BestPartner>& best_;
+  std::size_t leaves_ = 1;
+  std::vector<std::uint32_t> node_;
 };
 
 /// Each cluster's (position, count) tag entries, the scorer's input.
@@ -105,7 +142,7 @@ std::vector<std::span<const ClusterTag::Entry>> tag_entries(
 }
 
 /// The average-linkage score dot(a, b) / (|a| * |b|), shared by both
-/// kernels (see MergeCandidate for why the dot is normalized).
+/// kernels (see PairKey for why the dot is normalized).
 double average_linkage(std::uint64_t dot, const Cluster& a,
                        const Cluster& b) {
   return static_cast<double>(dot) /
@@ -113,15 +150,34 @@ double average_linkage(std::uint64_t dot, const Cluster& a,
           static_cast<double>(b.members.size()));
 }
 
-void merge_to_count(std::vector<Cluster>& clusters, std::size_t target,
-                    ThreadPool* pool) {
+struct MergeStats {
+  std::uint64_t rescans = 0;          // stale winners rescored
+  std::uint64_t fallback_merges = 0;  // zero-sharing merges
+};
+
+/// The greedy merge: repeatedly merges the alive pair with the best
+/// PairKey among those sharing data, else the zero-sharing fallback pair.
+///
+/// Each cluster keeps one BestPartner record, and a WinnerTree over the
+/// records yields the merge.  Invariant: an alive cluster's record key
+/// is >= its key with every alive partner, and is exact when the
+/// partner is alive at the recorded version.  So an exact winner beats
+/// every alive pair, and a stale winner is rescanned and the tree
+/// consulted again.  Merging b into a only changes keys of pairs with a
+/// or b: the version check catches the records this leaves stale,
+/// rescanning a bounds all of a's pairs, and offering (a, c) to every c
+/// a shares data with restores the invariant for c.  The merge sequence
+/// needs only a's bound; the offers keep partner records exact, which
+/// saves rescans.
+MergeStats merge_to_count(std::vector<Cluster>& clusters, std::size_t target,
+                          ThreadPool* pool) {
   const std::size_t n = clusters.size();
   std::vector<bool> alive(n, true);
   std::vector<std::uint32_t> version(n, 0);
-  std::priority_queue<MergeCandidate> heap;
+  MergeStats stats;
 
-  // Versioned inverted index for re-scoring a merged cluster: data chunk
-  // -> (cluster, per-chunk count, version).  The merged cluster's dots
+  // Versioned inverted index for rescanning a cluster: data chunk
+  // position -> (cluster, per-chunk count, version).  A cluster's dots
   // against every partner accumulate in one pass over its postings
   // (dot(a,c) = sum over shared chunks of count_a * count_c).  Entries
   // go stale when their cluster merges (its version bumps) and are
@@ -131,91 +187,116 @@ void merge_to_count(std::vector<Cluster>& clusters, std::size_t target,
     std::uint32_t count;
     std::uint32_t version;
   };
-  std::unordered_map<std::uint32_t, std::vector<IndexEntry>> bit_index;
+  std::size_t width = 0;
+  for (const Cluster& c : clusters) {
+    if (!c.tag.empty()) {
+      width = std::max<std::size_t>(width, c.tag.entries().back().pos + 1);
+    }
+  }
+  std::vector<std::vector<IndexEntry>> index(width);
   auto index_cluster = [&](std::uint32_t id) {
     for (const auto& entry : clusters[id].tag.entries()) {
-      bit_index[entry.pos].push_back(
-          IndexEntry{id, entry.count, version[id]});
+      index[entry.pos].push_back(IndexEntry{id, entry.count, version[id]});
     }
   };
 
+  std::vector<BestPartner> best(n);
+  // Raises x's record to `key` unless it already holds a better one.
+  // An equal key is the same pair at the same score: taking it
+  // refreshes a stale partner version.
+  auto offer = [&](std::uint32_t x, const PairKey& key,
+                   std::uint32_t partner_version) {
+    if (best[x].key.beats(key)) return false;
+    best[x] = BestPartner{key, partner_version};
+    return true;
+  };
+
+  // Initial sweep: score every pair sharing data once, fold each pair
+  // into both endpoints' records, and index every cluster (version 0).
+  obs::Span sweep_span("pipeline.similarity_sweep");
+  sweep_span.arg("clusters", static_cast<std::uint64_t>(n));
+  std::uint64_t candidates = 0;
+  {
+    const auto rows = score_shared_pairs(tag_entries(clusters), pool);
+    for (std::uint32_t a = 0; a < n; ++a) {
+      for (const PairDot& hit : rows[a]) {
+        const PairKey key{
+            average_linkage(hit.dot, clusters[a], clusters[hit.b]), hit.b, a};
+        offer(a, key, 0);
+        offer(hit.b, key, 0);
+      }
+      candidates += rows[a].size();
+      index_cluster(a);
+    }
+  }
+  sweep_span.arg("candidates", candidates);
+  sweep_span.end();
+  MLSC_COUNTER_ADD("pipeline.sweep_candidates", candidates);
+  WinnerTree tree(best);
+
+  // Sets x's record to its exact best partner; with `offer_back`, also
+  // offers each scored pair (x, c) to c.
   std::vector<std::uint64_t> acc(n, 0);
   std::vector<std::uint32_t> touched;
-  auto push_candidates = [&](std::uint32_t a) {
+  auto rescan = [&](std::uint32_t x, bool offer_back) {
     touched.clear();
-    for (const auto& tag_entry : clusters[a].tag.entries()) {
-      auto it = bit_index.find(tag_entry.pos);
-      if (it == bit_index.end()) continue;
-      const std::uint64_t ca = tag_entry.count;
+    for (const auto& tag_entry : clusters[x].tag.entries()) {
+      const std::uint64_t cx = tag_entry.count;
       // Compact stale entries while scanning.
-      auto& list = it->second;
+      auto& list = index[tag_entry.pos];
       std::size_t w = 0;
       for (std::size_t r = 0; r < list.size(); ++r) {
         const IndexEntry& e = list[r];
         if (!alive[e.cluster] || version[e.cluster] != e.version) continue;
         list[w++] = e;
-        if (e.cluster == a) continue;
+        if (e.cluster == x) continue;
         if (acc[e.cluster] == 0) touched.push_back(e.cluster);
-        acc[e.cluster] += ca * e.count;
+        acc[e.cluster] += cx * e.count;
       }
       list.resize(w);
     }
-    for (std::uint32_t b : touched) {
-      const std::uint32_t lo = std::min(a, b);
-      const std::uint32_t hi = std::max(a, b);
-      heap.push(
-          MergeCandidate{average_linkage(acc[b], clusters[a], clusters[b]),
-                         lo, hi, version[lo], version[hi]});
-      acc[b] = 0;
+    BestPartner row;
+    for (std::uint32_t c : touched) {
+      const PairKey key{average_linkage(acc[c], clusters[x], clusters[c]),
+                        std::min(x, c), std::max(x, c)};
+      acc[c] = 0;
+      if (key.beats(row.key)) row = BestPartner{key, version[c]};
+      if (offer_back && offer(c, key, version[x])) tree.update(c);
     }
+    best[x] = row;
+    tree.update(x);
   };
-  // Initial sweep: score every pair sharing data once, then index every
-  // cluster (version 0) for the re-scoring of merged clusters below.
-  // Rows are pushed in a order; the candidate comparator is a total
-  // order, so the merge sequence does not depend on push order anyway.
-  obs::Span sweep_span("pipeline.similarity_sweep");
-  sweep_span.arg("clusters", static_cast<std::uint64_t>(n));
-  {
-    const auto rows = score_shared_pairs(tag_entries(clusters), pool);
-    for (std::uint32_t a = 0; a < n; ++a) {
-      for (const PairDot& hit : rows[a]) {
-        heap.push(MergeCandidate{
-            average_linkage(hit.dot, clusters[a], clusters[hit.b]), hit.b, a,
-            0, 0});
-      }
-      index_cluster(a);
-    }
-  }
-  sweep_span.arg("candidates", static_cast<std::uint64_t>(heap.size()));
-  sweep_span.end();
-  MLSC_COUNTER_ADD("pipeline.sweep_candidates", heap.size());
 
-  // Zero-sharing fallback order, built lazily the first time the heap
-  // runs dry.  Every alive pair with a nonzero dot always has a valid
-  // heap entry (init scores all pairs; each merge re-scores the merged
-  // cluster), so an empty heap means *no* alive pair shares data — and
-  // since dots are bilinear, merging zero-dot clusters keeps every dot
-  // zero.  The fallback list can therefore be maintained incrementally
-  // instead of re-sorted per merge: it stays sorted by order_key because
-  // the merged cluster keeps the smaller key of the adjacent pair.
+  // Zero-sharing fallback order, built the first time no alive pair
+  // shares data.  Since dots are bilinear, merging zero-dot clusters
+  // keeps every dot zero, so the greedy stays dry from then on and the
+  // fallback list can be maintained incrementally instead of re-sorted
+  // per merge: it stays sorted by order_key because the merged cluster
+  // keeps the smaller key of the adjacent pair.
   std::vector<std::uint32_t> fallback_ids;
+  bool dry = false;
 
   std::size_t alive_count = n;
   while (alive_count > target) {
-    MergeCandidate best;
-    bool found = false;
-    while (!heap.empty()) {
-      best = heap.top();
-      heap.pop();
-      if (alive[best.a] && alive[best.b] &&
-          version[best.a] == best.version_a &&
-          version[best.b] == best.version_b) {
-        found = true;
+    PairKey pick;
+    while (!dry) {
+      const std::uint32_t x = tree.top();
+      const BestPartner& record = best[x];
+      if (record.key.score < 0) {
+        dry = true;
         break;
       }
+      const std::uint32_t partner =
+          record.key.lo == x ? record.key.hi : record.key.lo;
+      if (alive[partner] && version[partner] == record.partner_version) {
+        pick = record.key;
+        break;
+      }
+      ++stats.rescans;
+      rescan(x, false);
     }
     std::size_t fallback_pos = 0;
-    if (!found) {
+    if (dry) {
       // All remaining pairs share no data.  With zero sharing, cache
       // behaviour is indifferent to the grouping, but disk behaviour is
       // not: merge the rank-adjacent pair with the smallest combined
@@ -241,35 +322,39 @@ void merge_to_count(std::vector<Cluster>& clusters, std::size_t target,
           fallback_pos = p;
         }
       }
-      best.a = std::min(fallback_ids[fallback_pos],
-                        fallback_ids[fallback_pos + 1]);
-      best.b = std::max(fallback_ids[fallback_pos],
-                        fallback_ids[fallback_pos + 1]);
+      pick.lo = std::min(fallback_ids[fallback_pos],
+                         fallback_ids[fallback_pos + 1]);
+      pick.hi = std::max(fallback_ids[fallback_pos],
+                         fallback_ids[fallback_pos + 1]);
+      ++stats.fallback_merges;
     }
 
+    const std::uint32_t a = pick.lo;
+    const std::uint32_t b = pick.hi;
     MLSC_DEBUG("cluster merge: "
-               << best.b << " -> " << best.a
-               << (found ? " (shared-data score " : " (zero-sharing fallback")
-               << (found ? std::to_string(best.score) : std::string())
-               << "), " << clusters[best.a].members.size() << "+"
-               << clusters[best.b].members.size() << " members, "
+               << b << " -> " << a
+               << (dry ? " (zero-sharing fallback" : " (shared-data score ")
+               << (dry ? std::string() : std::to_string(pick.score))
+               << "), " << clusters[a].members.size() << "+"
+               << clusters[b].members.size() << " members, "
                << alive_count - 1 << " clusters left");
-    clusters[best.a].absorb(std::move(clusters[best.b]));
-    alive[best.b] = false;
-    ++version[best.a];  // invalidates a's and the pair's old index entries
+    clusters[a].absorb(std::move(clusters[b]));
+    alive[b] = false;
+    ++version[a];  // invalidates a's old index entries and records
     --alive_count;
+    best[b] = BestPartner{};
+    tree.update(b);
 
     if (alive_count <= target) break;
-    if (!found) {
+    if (dry) {
       // The merged cluster takes the pair's slot (its order_key is the
-      // pair's minimum, i.e. the key already at fallback_pos).  No
-      // re-scoring: the heap is permanently dry in fallback mode.
-      fallback_ids[fallback_pos] = best.a;
+      // pair's minimum, i.e. the key already at fallback_pos).
+      fallback_ids[fallback_pos] = a;
       fallback_ids.erase(fallback_ids.begin() + fallback_pos + 1);
       continue;
     }
-    push_candidates(best.a);  // uses the merged tag's counts
-    index_cluster(best.a);    // re-index under the new version
+    rescan(a, true);   // uses the merged tag's counts
+    index_cluster(a);  // re-index under the new version
   }
 
   std::vector<Cluster> survivors;
@@ -278,6 +363,7 @@ void merge_to_count(std::vector<Cluster>& clusters, std::size_t target,
     if (alive[i]) survivors.push_back(std::move(clusters[i]));
   }
   clusters = std::move(survivors);
+  return stats;
 }
 
 // ---------------------------------------------------------------------------
@@ -427,7 +513,11 @@ void cluster_to_count(std::vector<Cluster>& clusters, std::size_t target,
     if (use_forest) {
       forest_to_count(clusters, target, pool);
     } else {
-      merge_to_count(clusters, target, pool);
+      const MergeStats stats = merge_to_count(clusters, target, pool);
+      span.arg("rescans", stats.rescans);
+      span.arg("fallback_merges", stats.fallback_merges);
+      MLSC_COUNTER_ADD("pipeline.clustering_rescans", stats.rescans);
+      MLSC_COUNTER_ADD("pipeline.fallback_merges", stats.fallback_merges);
     }
   }
   while (clusters.size() < target) {

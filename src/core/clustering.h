@@ -4,9 +4,9 @@
 // fan-out requires.
 //
 // Two merge kernels are available (DESIGN.md §15):
-//   - kGreedy: the paper-faithful greedy agglomerative merge (max-heap of
-//     average-linkage candidates with lazy invalidation).  Quality
-//     reference, O(k^2 log k)-ish; the oracle for equivalence tests.
+//   - kGreedy: the paper-faithful greedy agglomerative merge (each
+//     cluster's best average-linkage partner under a winner tree).
+//     Quality reference; the oracle for equivalence tests.
 //   - kForest: the scalable similarity-weighted affinity forest —
 //     candidate edges from the shared-data pair scorer (core/graph.h), a
 //     Borůvka-style best-neighbor-hooking maximum-spanning-forest build
@@ -88,11 +88,12 @@ struct ClusterOptions {
 /// `chunks` may grow; all member indices remain valid.
 ///
 /// Both kernels score the initial pairs with score_shared_pairs
-/// (core/graph.h).  Greedy kernel: cluster tags and pairwise dot
-/// products are then maintained incrementally across merges (versioned
-/// inverted data-chunk index + max-heap with lazy invalidation), so the
-/// merge costs O(k^2 log k) word-ops rather than rescoring every pair per
-/// merge.  Forest kernel: the scored pairs are the candidate edges, and
+/// (core/graph.h).  Greedy kernel: each cluster keeps its best partner
+/// (score, partner, partner version) and a winner tree over clusters
+/// yields the best pair; a merge rescans only the merged cluster over a
+/// versioned inverted data-chunk index and offers the new pairs to their
+/// partners, and a winner whose partner went stale is rescanned once.
+/// Forest kernel: the scored pairs are the candidate edges, and
 /// core/affinity_forest's Borůvka rounds hook each component to its
 /// best-scoring neighbor; the resulting maximum spanning forest is cut to
 /// `target` components in score order, balance-capped at

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -14,15 +13,25 @@ namespace mlsc::core {
 BalanceLimits balance_limits(std::uint64_t total, std::size_t count,
                              double threshold) {
   MLSC_CHECK(count > 0, "limits need at least one cluster");
-  MLSC_CHECK(threshold >= 0.0, "negative balance threshold");
+  MLSC_CHECK(threshold >= 0.0,
+             "balance threshold must be a nonnegative number, got "
+                 << threshold);
   const double ideal = static_cast<double>(total) / static_cast<double>(count);
+  // A threshold above 1 puts ideal * (1 - threshold) below zero, and a
+  // huge one puts the upper bound past 2^64: saturate both before the
+  // cast instead of converting an out-of-range double.
+  const auto saturate = [](double bound) -> std::uint64_t {
+    if (!(bound > 0.0)) return 0;
+    if (bound >= 0x1p64) return UINT64_MAX;
+    return static_cast<std::uint64_t>(bound);
+  };
   BalanceLimits limits;
   // Clamp so that a perfectly balanced partition is always admissible:
   // floor(ideal) and ceil(ideal) must be inside the window.
   limits.lower = std::min(static_cast<std::uint64_t>(std::floor(ideal)),
-                          static_cast<std::uint64_t>(ideal * (1.0 - threshold)));
+                          saturate(ideal * (1.0 - threshold)));
   limits.upper = std::max(static_cast<std::uint64_t>(std::ceil(ideal)),
-                          static_cast<std::uint64_t>(ideal * (1.0 + threshold)));
+                          saturate(ideal * (1.0 + threshold)));
   return limits;
 }
 
@@ -44,9 +53,8 @@ struct MemberChoice {
   std::uint64_t best_any_dot = 0;
 };
 
-/// Folds one member into the running choice with the same strict-
-/// improvement rules the original serial scan used, so any in-order
-/// partition of the member list reduces to the identical winner.
+/// Folds one member into the running choice.  Only strict improvements
+/// replace a pick, so among equal candidates the earliest member wins.
 void fold_member(MemberChoice& choice, std::uint32_t member, std::uint64_t d,
                  std::uint64_t move_max,
                  const std::vector<IterationChunk>& chunks) {
@@ -63,106 +71,93 @@ void fold_member(MemberChoice& choice, std::uint32_t member, std::uint64_t d,
   }
 }
 
-/// Incrementally maintained affinity scores for the balance loop's
-/// current (donor, recipient) pair.  The loop typically keeps the same
-/// pair for many consecutive moves, and rescoring every donor member
-/// with a galloped tag dot per move made balancing
-/// O(moves x members x log) — the dominant cost at bench scale.  The
-/// cache fills the dots once per pair and updates them in O(shared
-/// positions) per move: when the recipient absorbs a tag, a donor
-/// member's dot grows by exactly the number of positions the two tags
-/// share, which the bit -> members posting index enumerates directly.
-/// All updates are exact integer deltas, so the scan that consumes the
-/// cache picks the same member, bit for bit, as a fresh rescan.
-class AffinityCache {
+/// The current recipient's cluster tag as a dense per-position count
+/// vector, so a donor member's affinity Σ_{k ∈ tag} count[k] is a run of
+/// direct loads.  Between two moves the recipient either stays and only
+/// gains tags (absorbed() bumps the counts in place) or changes (track()
+/// rebuilds), so every dot is the exact ClusterTag::dot integer and
+/// fold_member picks the same member as a fresh rescan.
+class RecipientCounts {
  public:
-  bool active_for(std::size_t donor, std::size_t recipient) const {
-    return donor == donor_ && recipient == recipient_;
-  }
-
-  void activate(std::size_t donor, std::size_t recipient,
-                const std::vector<Cluster>& clusters,
-                const std::vector<IterationChunk>& chunks, ThreadPool* pool) {
-    if (active_for(donor, recipient)) return;
-    donor_ = donor;
+  void track(std::size_t recipient, const ClusterTag& tag) {
+    if (recipient == recipient_) return;
     recipient_ = recipient;
     ++rebuilds_;
-    postings_.clear();
-    dots_.assign(chunks.size(), 0);
-    const auto& members = clusters[donor].members;
-    const ClusterTag& target = clusters[recipient].tag;
-    if (pool != nullptr && pool->num_threads() > 1 && members.size() >= 512) {
-      // Disjoint writes by member id: deterministic regardless of the
-      // block schedule.
-      const std::size_t grain = pool->default_grain(members.size());
-      pool->parallel_chunks(0, members.size(), grain,
-                            [&](std::size_t, std::size_t lo, std::size_t hi) {
-                              for (std::size_t i = lo; i < hi; ++i) {
-                                dots_[members[i]] =
-                                    target.dot(chunks[members[i]].tag);
-                              }
-                            });
-    } else {
-      for (std::uint32_t member : members) {
-        dots_[member] = target.dot(chunks[member].tag);
-      }
-    }
-    for (std::uint32_t member : members) {
-      for (std::uint32_t b : chunks[member].tag.bits()) {
-        postings_[b].push_back(member);
-      }
+    for (std::uint32_t pos : nonzero_) counts_[pos] = 0;
+    nonzero_.clear();
+    for (const auto& entry : tag.entries()) {
+      reach(entry.pos);
+      counts_[entry.pos] = entry.count;
+      nonzero_.push_back(entry.pos);
     }
   }
 
-  std::uint64_t dot(std::uint32_t member) const { return dots_[member]; }
-
-  /// The cluster at `recipient` absorbed `arriving` (a whole member's
-  /// tag or a split head): every cached dot grows by its overlap with
-  /// the arriving tag.  Members that already left the donor pick up
-  /// stale increments, but the scan never reads them again.
-  void recipient_absorbed(std::size_t recipient, const ChunkTag& arriving) {
-    if (recipient != recipient_) return;
-    for (std::uint32_t b : arriving.bits()) {
-      const auto it = postings_.find(b);
-      if (it == postings_.end()) continue;
-      for (std::uint32_t member : it->second) ++dots_[member];
+  void absorbed(const ChunkTag& tag) {
+    for (std::uint32_t b : tag.bits()) {
+      reach(b);
+      if (counts_[b]++ == 0) nonzero_.push_back(b);
     }
   }
 
-  /// The cluster at `donor` gained a freshly split tail chunk: score it
-  /// against the cached recipient's current tag and index its bits.
-  void donor_gained(std::size_t donor, std::uint32_t member,
-                    const std::vector<Cluster>& clusters,
-                    const IterationChunk& chunk) {
-    if (donor != donor_) return;
-    if (dots_.size() <= member) dots_.resize(member + 1, 0);
-    dots_[member] = clusters[recipient_].tag.dot(chunk.tag);
-    for (std::uint32_t b : chunk.tag.bits()) postings_[b].push_back(member);
+  std::uint64_t dot(const ChunkTag& tag) const {
+    std::uint64_t total = 0;
+    for (std::uint32_t b : tag.bits()) {
+      if (b < counts_.size()) total += counts_[b];
+    }
+    return total;
   }
 
   std::size_t rebuilds() const { return rebuilds_; }
 
  private:
-  std::size_t donor_ = SIZE_MAX;
+  void reach(std::uint32_t pos) {
+    if (pos >= counts_.size()) counts_.resize(pos + 1, 0);
+  }
+
   std::size_t recipient_ = SIZE_MAX;
-  std::vector<std::uint64_t> dots_;   // by chunk id, donor members valid
-  std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> postings_;
+  std::vector<std::uint32_t> counts_;   // by data-chunk position
+  std::vector<std::uint32_t> nonzero_;  // positions to clear on rebuild
   std::size_t rebuilds_ = 0;
 };
 
-/// Scores the donor against the recipient through the cache: identical
-/// winner to dotting every member afresh, O(members) comparisons.
-MemberChoice score_members(AffinityCache& cache, std::size_t donor,
-                           std::size_t recipient,
-                           const std::vector<Cluster>& clusters,
-                           const std::vector<IterationChunk>& chunks,
-                           std::uint64_t move_max, ThreadPool* pool) {
-  cache.activate(donor, recipient, clusters, chunks, pool);
+/// Moves `move_max` iterations' worth of the donor's best member to the
+/// recipient: the highest-affinity member that fits whole, otherwise the
+/// highest-affinity member split so exactly move_max iterations move.
+void move_best_member(std::vector<Cluster>& clusters,
+                      std::vector<IterationChunk>& chunks,
+                      RecipientCounts& counts, std::size_t donor,
+                      std::size_t recipient, std::uint64_t move_max,
+                      const char* pass) {
+  counts.track(recipient, clusters[recipient].tag);
   MemberChoice choice;
   for (std::uint32_t member : clusters[donor].members) {
-    fold_member(choice, member, cache.dot(member), move_max, chunks);
+    fold_member(choice, member, counts.dot(chunks[member].tag), move_max,
+                chunks);
   }
-  return choice;
+
+  if (choice.best_fit != UINT32_MAX) {
+    const std::uint32_t best_fit = choice.best_fit;
+    MLSC_DEBUG(pass << ": member " << best_fit << " ("
+               << chunks[best_fit].iterations << " iters) whole, cluster "
+               << donor << " -> " << recipient);
+    clusters[donor].remove_member(best_fit, chunks[best_fit]);
+    clusters[recipient].add_member(best_fit, chunks[best_fit]);
+    counts.absorbed(chunks[best_fit].tag);
+    return;
+  }
+  const std::uint32_t best_any = choice.best_any;
+  MLSC_CHECK(best_any != UINT32_MAX, "donor cluster has no members");
+  MLSC_DEBUG(pass << ": member " << best_any << " split, " << move_max
+             << " iters move, cluster " << donor << " -> " << recipient);
+  // Split best_any into (move_max, rest): the head moves.
+  auto [head, tail] = split_chunk(chunks[best_any], move_max);
+  clusters[donor].remove_member(best_any, chunks[best_any]);
+  chunks[best_any] = std::move(head);
+  chunks.push_back(std::move(tail));
+  const auto tail_index = static_cast<std::uint32_t>(chunks.size() - 1);
+  clusters[recipient].add_member(best_any, chunks[best_any]);
+  clusters[donor].add_member(tail_index, chunks[tail_index]);
+  counts.absorbed(chunks[best_any].tag);
 }
 
 }  // namespace
@@ -182,8 +177,7 @@ bool is_balanced(const std::vector<Cluster>& clusters,
 std::size_t balance_clusters(std::vector<Cluster>& clusters,
                              std::vector<IterationChunk>& chunks,
                              const BalanceOptions& options,
-                             const BalanceLimits* explicit_limits,
-                             ThreadPool* pool) {
+                             const BalanceLimits* explicit_limits) {
   MLSC_CHECK(!clusters.empty(), "cannot balance an empty cluster set");
   obs::Span span("pipeline.load_balance");
   span.arg("clusters", static_cast<std::uint64_t>(clusters.size()));
@@ -198,7 +192,7 @@ std::size_t balance_clusters(std::vector<Cluster>& clusters,
         limits.upper, (total + clusters.size() - 1) / clusters.size());
   }
   std::size_t moves = 0;
-  AffinityCache cache;
+  RecipientCounts counts;
 
   for (;;) {
     // Donor: the largest cluster above the upper limit.
@@ -231,37 +225,8 @@ std::size_t balance_clusters(std::vector<Cluster>& clusters,
                "balance cannot make progress (limits "
                    << limits.lower << ".." << limits.upper << ")");
 
-    // Pick the donor member with maximal affinity to the recipient among
-    // those that fit whole; otherwise take the best-affinity member and
-    // split it so exactly move_max iterations move.
-    const MemberChoice choice = score_members(cache, donor, recipient,
-                                              clusters, chunks, move_max, pool);
-
-    if (choice.best_fit != UINT32_MAX) {
-      const std::uint32_t best_fit = choice.best_fit;
-      MLSC_DEBUG("balance evict: member " << best_fit << " ("
-                 << chunks[best_fit].iterations << " iters) whole, cluster "
-                 << donor << " -> " << recipient);
-      clusters[donor].remove_member(best_fit, chunks[best_fit]);
-      clusters[recipient].add_member(best_fit, chunks[best_fit]);
-      cache.recipient_absorbed(recipient, chunks[best_fit].tag);
-    } else {
-      const std::uint32_t best_any = choice.best_any;
-      MLSC_CHECK(best_any != UINT32_MAX, "donor cluster has no members");
-      MLSC_DEBUG("balance evict: member " << best_any << " split, "
-                 << move_max << " iters move, cluster " << donor << " -> "
-                 << recipient);
-      // Split best_any into (move_max, rest): the head moves.
-      auto [head, tail] = split_chunk(chunks[best_any], move_max);
-      clusters[donor].remove_member(best_any, chunks[best_any]);
-      chunks[best_any] = std::move(head);
-      chunks.push_back(std::move(tail));
-      const auto tail_index = static_cast<std::uint32_t>(chunks.size() - 1);
-      clusters[recipient].add_member(best_any, chunks[best_any]);
-      clusters[donor].add_member(tail_index, chunks[tail_index]);
-      cache.recipient_absorbed(recipient, chunks[best_any].tag);
-      cache.donor_gained(donor, tail_index, clusters, chunks[tail_index]);
-    }
+    move_best_member(clusters, chunks, counts, donor, recipient, move_max,
+                     "balance evict");
     ++moves;
     MLSC_CHECK(moves < 100000, "balance loop did not converge");
   }
@@ -294,39 +259,15 @@ std::size_t balance_clusters(std::vector<Cluster>& clusters,
     const std::uint64_t move_max =
         std::min(need, clusters[donor].iterations - limits.lower);
 
-    const MemberChoice choice = score_members(cache, donor, recipient,
-                                              clusters, chunks, move_max, pool);
-    if (choice.best_fit != UINT32_MAX) {
-      const std::uint32_t best_fit = choice.best_fit;
-      MLSC_DEBUG("balance pull-up: member " << best_fit << " ("
-                 << chunks[best_fit].iterations << " iters) whole, cluster "
-                 << donor << " -> " << recipient);
-      clusters[donor].remove_member(best_fit, chunks[best_fit]);
-      clusters[recipient].add_member(best_fit, chunks[best_fit]);
-      cache.recipient_absorbed(recipient, chunks[best_fit].tag);
-    } else {
-      const std::uint32_t best_any = choice.best_any;
-      MLSC_CHECK(best_any != UINT32_MAX, "donor cluster has no members");
-      MLSC_DEBUG("balance pull-up: member " << best_any << " split, "
-                 << move_max << " iters move, cluster " << donor << " -> "
-                 << recipient);
-      auto [head, tail] = split_chunk(chunks[best_any], move_max);
-      clusters[donor].remove_member(best_any, chunks[best_any]);
-      chunks[best_any] = std::move(head);
-      chunks.push_back(std::move(tail));
-      const auto tail_index = static_cast<std::uint32_t>(chunks.size() - 1);
-      clusters[recipient].add_member(best_any, chunks[best_any]);
-      clusters[donor].add_member(tail_index, chunks[tail_index]);
-      cache.recipient_absorbed(recipient, chunks[best_any].tag);
-      cache.donor_gained(donor, tail_index, clusters, chunks[tail_index]);
-    }
+    move_best_member(clusters, chunks, counts, donor, recipient, move_max,
+                     "balance pull-up");
     ++moves;
     MLSC_CHECK(moves < 200000, "balance lower pass did not converge");
   }
   span.arg("moves", static_cast<std::uint64_t>(moves));
-  span.arg("affinity_rebuilds", static_cast<std::uint64_t>(cache.rebuilds()));
+  span.arg("affinity_rebuilds", static_cast<std::uint64_t>(counts.rebuilds()));
   MLSC_COUNTER_ADD("pipeline.balance_moves", moves);
-  MLSC_COUNTER_ADD("pipeline.balance_affinity_rebuilds", cache.rebuilds());
+  MLSC_COUNTER_ADD("pipeline.balance_affinity_rebuilds", counts.rebuilds());
   return moves;
 }
 

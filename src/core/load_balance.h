@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/clustering.h"
-#include "support/thread_pool.h"
 
 namespace mlsc::core {
 
@@ -29,7 +28,9 @@ struct BalanceLimits {
 
 /// The [LLim, ULim] window for a cluster set with `total` iterations and
 /// `count` clusters.  The window always admits a perfectly balanced
-/// partition (lower <= floor(ideal), upper >= ceil(ideal)).
+/// partition (lower <= floor(ideal), upper >= ceil(ideal)); a threshold
+/// above 1 puts the lower bound at 0.  Throws on a negative or NaN
+/// threshold.
 BalanceLimits balance_limits(std::uint64_t total, std::size_t count,
                              double threshold);
 
@@ -42,16 +43,10 @@ BalanceLimits balance_limits(std::uint64_t total, std::size_t count,
 /// *global* per-client ideal so that per-level tolerances do not
 /// compound: BThres bounds the imbalance "across the iteration counts of
 /// any two client nodes" (§4.3), not per tree level.
-///
-/// When `pool` is non-null, each eviction's candidate scoring (the dot of
-/// every donor member against the recipient's cluster tag) fans out over
-/// the pool with a reduction in block order, so the chosen member — and
-/// the final balance — is bit-identical to the serial scan.
 std::size_t balance_clusters(std::vector<Cluster>& clusters,
                              std::vector<IterationChunk>& chunks,
                              const BalanceOptions& options,
-                             const BalanceLimits* explicit_limits = nullptr,
-                             ThreadPool* pool = nullptr);
+                             const BalanceLimits* explicit_limits = nullptr);
 
 /// True when every cluster is within the limits implied by `options`.
 bool is_balanced(const std::vector<Cluster>& clusters,

@@ -95,7 +95,7 @@ MappingResult HierarchicalMapper::map_chunks_with_pool(
           static_cast<std::uint64_t>(leaves_under[children.front()]);
       const BalanceLimits limits{global.lower * leaves,
                                  global.upper * leaves};
-      balance_clusters(clusters, chunks, balance, &limits, pool);
+      balance_clusters(clusters, chunks, balance, &limits);
 
       MLSC_CHECK(clusters.size() == children.size(),
                  "cluster count does not match fan-out");

@@ -158,33 +158,6 @@ std::uint64_t ClusterTag::dot(const ClusterTag& other) const {
   return total;
 }
 
-std::uint64_t ClusterTag::dot(const ChunkTag& tag) const {
-  // This is the load balancer's candidate-scoring inner loop.  A big
-  // cluster tag probed by a narrow chunk tag is the common case, so
-  // gallop (binary search per probe bit) when the sizes are skewed.
-  if (!tag.bits().empty() && entries_.size() / tag.bits().size() >= 8) {
-    std::uint64_t total = 0;
-    auto from = entries_.begin();
-    for (std::uint32_t b : tag.bits()) {
-      from = std::lower_bound(
-          from, entries_.end(), b,
-          [](const Entry& e, std::uint32_t p) { return e.pos < p; });
-      if (from == entries_.end()) break;
-      if (from->pos == b) total += (from++)->count;
-    }
-    return total;
-  }
-
-  std::uint64_t total = 0;
-  auto e = entries_.begin();
-  for (std::uint32_t b : tag.bits()) {
-    while (e != entries_.end() && e->pos < b) ++e;
-    if (e == entries_.end()) break;
-    if (e->pos == b) total += e->count;
-  }
-  return total;
-}
-
 std::vector<std::uint32_t> ClusterTag::positions() const {
   std::vector<std::uint32_t> out;
   out.reserve(entries_.size());

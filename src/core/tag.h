@@ -77,10 +77,6 @@ class ClusterTag {
   /// Σ_k count_a[k] * count_b[k] — the clustering merge criterion.
   std::uint64_t dot(const ClusterTag& other) const;
 
-  /// Σ_{k ∈ tag} count[k] — affinity of a chunk with a cluster, used by
-  /// the load balancer's eviction choice.
-  std::uint64_t dot(const ChunkTag& tag) const;
-
   bool empty() const { return entries_.empty(); }
   std::size_t distinct_chunks() const { return entries_.size(); }
   std::uint64_t count_at(std::uint32_t pos) const;

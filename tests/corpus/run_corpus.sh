@@ -1,7 +1,8 @@
 #!/bin/sh
 # Feeds the malformed-input corpus through the real tool binaries and
 # asserts every case exits with the usage exit code (3): a structured
-# parse error, never a crash, hang, or sanitizer abort.
+# parse error, never a crash, hang, or sanitizer abort.  One legal edge
+# value (--balance 1.5) must instead run to a clean exit 0.
 #
 #   tests/corpus/run_corpus.sh <mlsc_report> <mlsc_map> [<mlsc_serve>]
 #
@@ -58,6 +59,21 @@ while IFS= read -r spec; do
   expect_usage_error "mlsc_map --faults='$spec'" \
     "$map" --workload hf --size-factor 0.0625 --faults="$spec"
 done < "$corpus"/faults/specs.txt
+
+# Balance thresholds: a negative or NaN BThres is a usage error; one
+# above 1 is legal (its lower bound saturates at 0) and must map cleanly.
+expect_usage_error "mlsc_map --balance -0.1" \
+  "$map" --workload hf --size-factor 0.0625 --balance -0.1
+expect_usage_error "mlsc_map --balance nan" \
+  "$map" --workload hf --size-factor 0.0625 --balance nan
+"$map" --workload hf --size-factor 0.0625 --balance 1.5 >/dev/null 2>&1
+rc=$?
+if [ "$rc" -ne 0 ]; then
+  echo "FAIL: mlsc_map --balance 1.5 exited $rc (want 0)" >&2
+  fail=1
+else
+  echo "ok: mlsc_map --balance 1.5"
+fi
 
 # Malformed serve event streams (unknown event types, duplicate ids,
 # negative client counts, broken schema headers / JSON / fault specs).

@@ -5,7 +5,10 @@
 #include <algorithm>
 #include <set>
 
+#include "obs/metrics.h"
 #include "support/check.h"
+#include "support/rng.h"
+#include "support/thread_pool.h"
 
 namespace mlsc::core {
 namespace {
@@ -160,6 +163,182 @@ TEST(Clustering, RejectsEmptyInput) {
   std::vector<IterationChunk> chunks;
   std::vector<Cluster> clusters;
   EXPECT_THROW(cluster_to_count(clusters, 1, chunks), mlsc::Error);
+}
+
+/// Random chunks for the greedy oracle, mixing the shapes that stress
+/// the best-partner bookkeeping:
+///   - a hub position held by most chunks, so most pairs share data and
+///     every merge touches most partners;
+///   - tags drawn from a small universe, with repeats, so equal scores
+///     tie and the (lo, hi) tie-break decides;
+///   - zero-sharing islands (private positions only), so the merge runs
+///     dry and finishes on the rank-adjacent fallback.
+/// Ranks are distinct, so order keys never tie.
+std::vector<IterationChunk> oracle_chunks(mlsc::Rng& rng, std::size_t n) {
+  std::vector<IterationChunk> chunks;
+  std::uint64_t rank = 0;
+  std::uint32_t private_pos = 1000;
+  std::vector<std::uint32_t> last_bits;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<std::uint32_t> bits;
+    const std::uint64_t shape = rng.next_below(10);
+    if (shape == 0) {
+      // Island: a position of its own, sometimes shared with the next
+      // chunk so islands come in small groups.
+      bits = {rng.next_below(2) == 0 ? private_pos : private_pos++};
+    } else if (shape == 1 && !last_bits.empty()) {
+      bits = last_bits;  // repeat: forces equal scores
+    } else {
+      if (shape > 2) bits.push_back(0);  // the hub
+      const std::uint64_t extra = 1 + rng.next_below(4);
+      for (std::uint64_t b = 0; b < extra; ++b) {
+        bits.push_back(1 + static_cast<std::uint32_t>(rng.next_below(12)));
+      }
+    }
+    if (shape != 0) last_bits = bits;
+    const std::uint64_t len = 1 + rng.next_below(3);
+    chunks.push_back(make_chunk(0, rank, rank + len, std::move(bits)));
+    rank += len;
+  }
+  return chunks;
+}
+
+/// Brute-force greedy reference, independent of the production kernel:
+/// every step scores every alive pair with ClusterTag::dot, merges the
+/// best (average-linkage score, lo, hi), and without any sharing pair
+/// merges the rank-adjacent pair with the smallest combined size.
+/// Returns the surviving clusters at every alive count (index = count).
+struct OracleRun {
+  std::vector<std::vector<Cluster>> by_count;
+  std::size_t tied_steps = 0;      // steps whose best score was tied
+  std::size_t fallback_steps = 0;  // zero-sharing merges
+};
+
+OracleRun brute_force_greedy(std::vector<Cluster> clusters) {
+  const std::size_t n = clusters.size();
+  std::vector<bool> alive(n, true);
+  OracleRun run;
+  run.by_count.resize(n + 1);
+  run.by_count[n] = clusters;
+  for (std::size_t alive_count = n; alive_count > 1; --alive_count) {
+    bool found = false;
+    bool tied = false;
+    double best = 0;
+    std::uint32_t lo = 0;
+    std::uint32_t hi = 0;
+    for (std::uint32_t a = 0; a < n; ++a) {
+      for (std::uint32_t b = a + 1; b < n; ++b) {
+        if (!alive[a] || !alive[b]) continue;
+        const std::uint64_t dot = clusters[a].tag.dot(clusters[b].tag);
+        if (dot == 0) continue;
+        const double score =
+            static_cast<double>(dot) /
+            (static_cast<double>(clusters[a].members.size()) *
+             static_cast<double>(clusters[b].members.size()));
+        if (found && score == best) tied = true;
+        if (!found || score > best) {  // (a, b) ascend: first wins ties
+          found = true;
+          tied = false;
+          best = score;
+          lo = a;
+          hi = b;
+        }
+      }
+    }
+    if (!found) {
+      std::vector<std::uint32_t> order;
+      for (std::uint32_t i = 0; i < n; ++i) {
+        if (alive[i]) order.push_back(i);
+      }
+      std::sort(order.begin(), order.end(),
+                [&](std::uint32_t x, std::uint32_t y) {
+                  return clusters[x].order_key < clusters[y].order_key;
+                });
+      std::size_t pick = 0;
+      for (std::size_t p = 1; p + 1 < order.size(); ++p) {
+        if (clusters[order[p]].iterations + clusters[order[p + 1]].iterations <
+            clusters[order[pick]].iterations +
+                clusters[order[pick + 1]].iterations) {
+          pick = p;
+        }
+      }
+      lo = std::min(order[pick], order[pick + 1]);
+      hi = std::max(order[pick], order[pick + 1]);
+      ++run.fallback_steps;
+    }
+    run.tied_steps += tied ? 1 : 0;
+    clusters[lo].absorb(std::move(clusters[hi]));
+    alive[hi] = false;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      if (alive[i]) run.by_count[alive_count - 1].push_back(clusters[i]);
+    }
+  }
+  return run;
+}
+
+/// The greedy kernel must reproduce the brute-force merge sequence
+/// exactly — every survivor's member order included — at every target
+/// and at 1 and 4 pool threads.
+TEST(Clustering, GreedyMatchesBruteForceOracle) {
+  mlsc::Rng rng(2010);
+  ThreadPool pool(4);
+  ClusterOptions greedy;
+  greedy.algorithm = ClusterOptions::Algorithm::kGreedy;
+  std::size_t tied_steps = 0;
+  std::size_t fallback_steps = 0;
+  for (int trial = 0; trial < 8; ++trial) {
+    const std::size_t n = 20 + rng.next_below(40);
+    const auto chunks = oracle_chunks(rng, n);
+    std::vector<std::uint32_t> all(n);
+    for (std::uint32_t i = 0; i < n; ++i) all[i] = i;
+    const OracleRun oracle = brute_force_greedy(make_singletons(all, chunks));
+    tied_steps += oracle.tied_steps;
+    fallback_steps += oracle.fallback_steps;
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      for (std::size_t target = 1; target < n; ++target) {
+        SCOPED_TRACE("trial " + std::to_string(trial) + " target " +
+                     std::to_string(target) + (p ? " 4 threads" : " serial"));
+        auto table = chunks;
+        auto clusters = make_singletons(all, table);
+        cluster_to_count(clusters, target, table, p, greedy);
+        const auto& want = oracle.by_count[target];
+        ASSERT_EQ(clusters.size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          ASSERT_EQ(clusters[i].members, want[i].members) << "cluster " << i;
+        }
+      }
+    }
+  }
+  // The random shapes must actually reach the tie-break and the fallback.
+  EXPECT_GT(tied_steps, 0u);
+  EXPECT_GT(fallback_steps, 0u);
+}
+
+/// Offering each rescanned pair to its partner keeps that partner's
+/// record exact, so no winner needs a rescan.  Tags {x}, {x,y}, {x,y}:
+/// (1,2) merges first; cluster 0's record (0,1) then points at a merged
+/// partner, and only the offer of the merged pair refreshes it.  The
+/// merge sequence alone cannot show this (a stale winner is rescanned
+/// and retried), so the test reads the rescan counter.
+TEST(Clustering, GreedyOfferKeepsPartnerRecordsExact) {
+  std::vector<IterationChunk> chunks{
+      make_chunk(0, 0, 10, {0}),
+      make_chunk(0, 10, 20, {0, 1}),
+      make_chunk(0, 20, 30, {0, 1}),
+  };
+  auto clusters = make_singletons({0, 1, 2}, chunks);
+  ClusterOptions greedy;
+  greedy.algorithm = ClusterOptions::Algorithm::kGreedy;
+  const bool was_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  obs::Registry::global().reset();
+  cluster_to_count(clusters, 1, chunks, nullptr, greedy);
+  const auto rescans =
+      obs::Registry::global().counter("pipeline.clustering_rescans").value();
+  obs::set_metrics_enabled(was_enabled);
+  ASSERT_EQ(clusters.size(), 1u);
+  EXPECT_EQ(clusters[0].members, (std::vector<std::uint32_t>{0, 1, 2}));
+  EXPECT_EQ(rescans, 0u);
 }
 
 ClusterOptions forest_options() {

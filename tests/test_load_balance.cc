@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "support/check.h"
 #include "support/rng.h"
 
@@ -22,6 +24,19 @@ TEST(BalanceLimits, WindowAroundIdeal) {
   const auto limits = balance_limits(1000, 4, 0.10);
   EXPECT_EQ(limits.lower, 225u);  // 250 * 0.9
   EXPECT_EQ(limits.upper, 275u);  // 250 * 1.1
+}
+
+TEST(BalanceLimits, ThresholdAboveOneClampsLowerBoundAtZero) {
+  // ideal * (1 - 1.5) is negative: the lower bound saturates at 0
+  // instead of converting an out-of-range double.
+  const auto limits = balance_limits(1000, 4, 1.5);
+  EXPECT_EQ(limits.lower, 0u);
+  EXPECT_EQ(limits.upper, 625u);  // 250 * 2.5
+}
+
+TEST(BalanceLimits, RejectsNegativeAndNanThresholds) {
+  EXPECT_THROW(balance_limits(1000, 4, -0.1), mlsc::Error);
+  EXPECT_THROW(balance_limits(1000, 4, std::nan("")), mlsc::Error);
 }
 
 TEST(BalanceLimits, ZeroThresholdStillAdmitsPerfectPartition) {
@@ -145,6 +160,182 @@ TEST(BalanceProperty, RandomSetsConvergeAndConserve) {
     EXPECT_EQ(poly::total_range_size(merged), total)
         << "ranges overlap or were lost";
   }
+}
+
+/// Brute-force balance reference, independent of the production scoring:
+/// the same donor / recipient / move rules as balance_clusters, but every
+/// move rescans every donor member with a fresh count_at dot.
+struct ReferenceBalance {
+  std::size_t upper_moves = 0;
+  std::size_t lower_moves = 0;
+  std::size_t splits = 0;
+};
+
+std::uint64_t brute_dot(const ClusterTag& tag, const ChunkTag& chunk) {
+  std::uint64_t total = 0;
+  for (std::uint32_t b : chunk.bits()) total += tag.count_at(b);
+  return total;
+}
+
+void reference_move(std::vector<Cluster>& clusters,
+                    std::vector<IterationChunk>& chunks, std::size_t donor,
+                    std::size_t recipient, std::uint64_t move_max,
+                    ReferenceBalance& run) {
+  constexpr std::uint32_t kNone = UINT32_MAX;
+  std::uint32_t best_fit = kNone;
+  std::uint32_t best_any = kNone;
+  std::uint64_t fit_dot = 0;
+  std::uint64_t any_dot = 0;
+  for (std::uint32_t member : clusters[donor].members) {
+    const std::uint64_t d =
+        brute_dot(clusters[recipient].tag, chunks[member].tag);
+    const std::uint64_t size = chunks[member].iterations;
+    if (size <= move_max &&
+        (best_fit == kNone || d > fit_dot ||
+         (d == fit_dot && size > chunks[best_fit].iterations))) {
+      best_fit = member;
+      fit_dot = d;
+    }
+    if (best_any == kNone || d > any_dot) {
+      best_any = member;
+      any_dot = d;
+    }
+  }
+  if (best_fit != kNone) {
+    clusters[donor].remove_member(best_fit, chunks[best_fit]);
+    clusters[recipient].add_member(best_fit, chunks[best_fit]);
+    return;
+  }
+  auto [head, tail] = split_chunk(chunks[best_any], move_max);
+  clusters[donor].remove_member(best_any, chunks[best_any]);
+  chunks[best_any] = std::move(head);
+  chunks.push_back(std::move(tail));
+  const auto tail_index = static_cast<std::uint32_t>(chunks.size() - 1);
+  clusters[recipient].add_member(best_any, chunks[best_any]);
+  clusters[donor].add_member(tail_index, chunks[tail_index]);
+  ++run.splits;
+}
+
+ReferenceBalance reference_balance(std::vector<Cluster>& clusters,
+                                   std::vector<IterationChunk>& chunks,
+                                   const BalanceLimits& limits) {
+  ReferenceBalance run;
+  const std::size_t k = clusters.size();
+  for (;;) {
+    std::size_t donor = k;
+    for (std::size_t i = 0; i < k; ++i) {
+      if (clusters[i].iterations > limits.upper &&
+          (donor == k || clusters[i].iterations > clusters[donor].iterations)) {
+        donor = i;
+      }
+    }
+    if (donor == k) break;
+    std::size_t recipient = donor == 0 ? 1 : 0;
+    for (std::size_t i = 0; i < k; ++i) {
+      if (i != donor &&
+          clusters[i].iterations < clusters[recipient].iterations) {
+        recipient = i;
+      }
+    }
+    const std::uint64_t move_max =
+        std::min(clusters[donor].iterations - limits.lower,
+                 limits.upper - clusters[recipient].iterations);
+    reference_move(clusters, chunks, donor, recipient, move_max, run);
+    ++run.upper_moves;
+  }
+  for (;;) {
+    std::size_t recipient = k;
+    for (std::size_t i = 0; i < k; ++i) {
+      if (clusters[i].iterations < limits.lower &&
+          (recipient == k ||
+           clusters[i].iterations < clusters[recipient].iterations)) {
+        recipient = i;
+      }
+    }
+    if (recipient == k) break;
+    std::size_t donor = recipient == 0 ? 1 : 0;
+    for (std::size_t i = 0; i < k; ++i) {
+      if (i != recipient &&
+          clusters[i].iterations > clusters[donor].iterations) {
+        donor = i;
+      }
+    }
+    const std::uint64_t move_max =
+        std::min(limits.lower - clusters[recipient].iterations,
+                 clusters[donor].iterations - limits.lower);
+    reference_move(clusters, chunks, donor, recipient, move_max, run);
+    ++run.lower_moves;
+  }
+  return run;
+}
+
+/// balance_clusters must match the brute-force reference move for move:
+/// same clusters in the same member order, same chunk table (splits
+/// included), same move count — through both the upper and the lower
+/// pull-up pass.
+TEST(BalanceProperty, MatchesBruteForceReference) {
+  mlsc::Rng rng(2010);
+  ReferenceBalance seen;
+  for (int trial = 0; trial < 60; ++trial) {
+    std::vector<IterationChunk> chunks;
+    std::uint64_t pos = 0;
+    const std::size_t num_chunks = 20 + rng.next_below(120);
+    for (std::size_t i = 0; i < num_chunks; ++i) {
+      const std::uint64_t len = 1 + rng.next_below(60);
+      std::vector<std::uint32_t> bits;
+      const std::uint64_t width = 3 + rng.next_below(4);
+      for (std::uint64_t b = 0; b < width; ++b) {
+        bits.push_back(static_cast<std::uint32_t>(rng.next_below(40)));
+      }
+      chunks.push_back(make_chunk(pos, pos + len, std::move(bits)));
+      pos += len;
+    }
+    // Skewed assignment: the first clusters start over-full, so the
+    // upper pass runs long with repeated and changing recipients.
+    const std::size_t k = 2 + rng.next_below(15);
+    std::vector<Cluster> clusters(k);
+    for (std::uint32_t i = 0; i < chunks.size(); ++i) {
+      const std::size_t c =
+          i < k ? i : rng.next_below(1 + rng.next_below(k));
+      clusters[c].add_member(i, chunks[i]);
+    }
+    const double threshold = 0.05 * static_cast<double>(rng.next_below(3));
+    const BalanceLimits limits = balance_limits(pos, k, threshold);
+
+    auto want_clusters = clusters;
+    auto want_chunks = chunks;
+    const ReferenceBalance want =
+        reference_balance(want_clusters, want_chunks, limits);
+    seen.upper_moves += want.upper_moves;
+    seen.lower_moves += want.lower_moves;
+    seen.splits += want.splits;
+
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const BalanceLimits* explicit_limits = trial % 2 == 0 ? &limits : nullptr;
+    const std::size_t moves =
+        balance_clusters(clusters, chunks, {threshold}, explicit_limits);
+    EXPECT_EQ(moves, want.upper_moves + want.lower_moves);
+    ASSERT_EQ(clusters.size(), want_clusters.size());
+    for (std::size_t c = 0; c < k; ++c) {
+      EXPECT_EQ(clusters[c].members, want_clusters[c].members)
+          << "cluster " << c;
+      EXPECT_EQ(clusters[c].iterations, want_clusters[c].iterations);
+    }
+    ASSERT_EQ(chunks.size(), want_chunks.size());
+    for (std::size_t i = 0; i < chunks.size(); ++i) {
+      EXPECT_EQ(chunks[i].iterations, want_chunks[i].iterations);
+      EXPECT_EQ(chunks[i].tag, want_chunks[i].tag);
+      ASSERT_EQ(chunks[i].ranges.size(), want_chunks[i].ranges.size());
+      for (std::size_t r = 0; r < chunks[i].ranges.size(); ++r) {
+        EXPECT_EQ(chunks[i].ranges[r].begin, want_chunks[i].ranges[r].begin);
+        EXPECT_EQ(chunks[i].ranges[r].end, want_chunks[i].ranges[r].end);
+      }
+    }
+  }
+  // The random sets must exercise both passes and the split path.
+  EXPECT_GT(seen.upper_moves, 0u);
+  EXPECT_GT(seen.lower_moves, 0u);
+  EXPECT_GT(seen.splits, 0u);
 }
 
 }  // namespace

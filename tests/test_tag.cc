@@ -56,8 +56,6 @@ TEST(ClusterTag, BitwiseSumAndDot) {
   EXPECT_EQ(cluster.count_at(0), 2u);
   EXPECT_EQ(cluster.count_at(6), 1u);
   EXPECT_EQ(cluster.count_at(1), 0u);
-  // Dot with γ5 = {0,4,6,8}: 2 + 2 + 1 = 5 (the paper's sum-tag dot).
-  EXPECT_EQ(cluster.dot(ChunkTag::from_bits({0, 4, 6, 8})), 5u);
 }
 
 TEST(ClusterTag, DotOfClusters) {

@@ -19,6 +19,7 @@
 //
 // Exit status: 0 success, 1 runtime failure, 3 command-line misuse.
 #include <chrono>
+#include <cmath>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -134,6 +135,11 @@ int main(int argc, char** argv) {
         }
       } else if (args.value_flag("--balance")) {
         scheme.balance_threshold = args.value_double();
+        if (!std::isfinite(scheme.balance_threshold) ||
+            scheme.balance_threshold < 0.0) {
+          throw UsageError("--balance: expected a nonnegative fraction, got '" +
+                           args.value() + "'");
+        }
       } else if (args.value_flag("--alpha")) {
         alpha = args.value_double();
       } else if (args.value_flag("--beta")) {
