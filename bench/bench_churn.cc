@@ -21,6 +21,7 @@
 //   --max-chunks=N  iteration-chunk cap per instance (default 4096)
 //   --threads=N     mapping threads, 0 = all cores (default 0)
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -138,6 +139,11 @@ int main(int argc, char** argv) {
       standing_max = parse_size_flag(arg, "--standing=");
     } else if (arg.rfind("--max-chunks=", 0) == 0) {
       max_chunks = parse_size_flag(arg, "--max-chunks=");
+      if (max_chunks == 0 || max_chunks > UINT32_MAX) {
+        std::cerr << "error: --max-chunks= needs a value in 1.."
+                  << UINT32_MAX << "\n";
+        std::exit(3);
+      }
     } else if (arg.rfind("--threads=", 0) == 0) {
       threads = parse_size_flag(arg, "--threads=");
     }

@@ -15,12 +15,13 @@ DataSpace::DataSpace(const poly::Program& program,
     info.first_chunk = static_cast<ChunkId>(next_chunk);
     const std::uint64_t bytes = array.size_bytes();
     MLSC_CHECK(bytes > 0, "array " << array.name << " has zero size");
-    info.num_chunks =
-        static_cast<std::uint32_t>((bytes + chunk_size_ - 1) / chunk_size_);
-    info.element_size = array.element_size_bytes;
-    next_chunk += info.num_chunks;
-    MLSC_CHECK(next_chunk <= static_cast<std::uint64_t>(UINT32_MAX),
+    const std::uint64_t chunks = (bytes + chunk_size_ - 1) / chunk_size_;
+    // Checked before narrowing, so a single oversized array cannot wrap.
+    MLSC_CHECK(chunks <= static_cast<std::uint64_t>(UINT32_MAX) - next_chunk,
                "data space exceeds 2^32 chunks; use a larger chunk size");
+    info.num_chunks = static_cast<std::uint32_t>(chunks);
+    info.element_size = array.element_size_bytes;
+    next_chunk += chunks;
     arrays_.push_back(info);
   }
   num_chunks_ = static_cast<std::uint32_t>(next_chunk);

@@ -1,11 +1,13 @@
 // Tag computation: iterations -> iteration chunks (paper §4.2).
 //
-// Walks each nest in lexicographic order, computes the set of data
-// chunks every iteration touches, and groups iterations by identical
-// tag.  Consecutive equal-tag iterations extend the current rank range;
-// recurring tags are hash-consed into one iteration chunk with several
-// ranges, exactly matching the paper's definition (an iteration chunk is
-// the set of *all* iterations with one tag).
+// Walks each nest in lexicographic order and groups iterations by the
+// set of data chunks they touch (their tag).  The footprint is evaluated
+// once per segment of the innermost loop over which no reference changes
+// its chunk span, so the cost follows the number of tag runs rather than
+// iterations.  Consecutive equal-tag iterations extend the current rank
+// range; recurring tags are hash-consed into one iteration chunk with
+// several ranges, exactly matching the paper's definition (an iteration
+// chunk is the set of *all* iterations with one tag).
 #pragma once
 
 #include <cstdint>
@@ -36,7 +38,8 @@ struct TaggingResult {
   bool coarsened = false;             // true when the bound forced merges
 };
 
-/// Sorted, deduplicated data-chunk footprint of one iteration.
+/// Sorted, deduplicated data-chunk footprint of one iteration, the
+/// per-iteration definition the tag of every iteration matches.
 /// `out` is cleared and reused to avoid per-iteration allocation.
 void iteration_footprint(const poly::Program& program,
                          const poly::LoopNest& nest, const DataSpace& space,

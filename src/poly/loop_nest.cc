@@ -4,20 +4,6 @@
 
 namespace mlsc::poly {
 
-std::uint64_t ArrayDecl::flatten(std::span<const std::int64_t> index) const {
-  MLSC_DCHECK(index.size() == dims.size(),
-              "index arity " << index.size() << " != rank " << dims.size());
-  std::uint64_t offset = 0;
-  for (std::size_t d = 0; d < dims.size(); ++d) {
-    MLSC_DCHECK(index[d] >= 0 && index[d] < dims[d],
-                "array " << name << " index " << index[d]
-                         << " out of bounds in dim " << d);
-    offset = offset * static_cast<std::uint64_t>(dims[d]) +
-             static_cast<std::uint64_t>(index[d]);
-  }
-  return offset;
-}
-
 bool ArrayDecl::in_bounds(std::span<const std::int64_t> index) const {
   if (index.size() != dims.size()) return false;
   for (std::size_t d = 0; d < dims.size(); ++d) {
@@ -55,12 +41,21 @@ const IndexTable& Program::index_table(IndexTableId id) const {
 std::uint64_t resolve_element(const Program& program, const ArrayRef& ref,
                               std::span<const std::int64_t> iter) {
   if (!ref.is_indirect()) {
-    thread_local std::vector<std::int64_t> index;
-    index.clear();
+    // Row-major flattening of the index vector, one dim at a time.
+    const ArrayDecl& array = program.array(ref.array);
+    MLSC_DCHECK(ref.map.rank() == array.dims.size(),
+                "index arity " << ref.map.rank() << " != rank "
+                               << array.dims.size());
+    std::uint64_t offset = 0;
     for (std::size_t d = 0; d < ref.map.rank(); ++d) {
-      index.push_back(ref.map.apply_dim(d, iter));
+      const std::int64_t index = ref.map.apply_dim(d, iter);
+      MLSC_DCHECK(index >= 0 && index < array.dims[d],
+                  "array " << array.name << " index " << index
+                           << " out of bounds in dim " << d);
+      offset = offset * static_cast<std::uint64_t>(array.dims[d]) +
+               static_cast<std::uint64_t>(index);
     }
-    return program.array(ref.array).flatten(index);
+    return offset;
   }
   MLSC_DCHECK(ref.map.rank() == 1, "indirect references use a rank-1 map");
   const IndexTable& table = program.index_table(ref.index_table);

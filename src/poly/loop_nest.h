@@ -36,9 +36,6 @@ struct ArrayDecl {
     return num_elements() * element_size_bytes;
   }
 
-  /// Row-major flattening of an index vector to an element offset.
-  std::uint64_t flatten(std::span<const std::int64_t> index) const;
-
   /// True when the index vector is inside the array bounds.
   bool in_bounds(std::span<const std::int64_t> index) const;
 };

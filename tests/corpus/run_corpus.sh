@@ -4,19 +4,21 @@
 # parse error, never a crash, hang, or sanitizer abort.  One legal edge
 # value (--balance 1.5) must instead run to a clean exit 0.
 #
-#   tests/corpus/run_corpus.sh <mlsc_report> <mlsc_map> [<mlsc_serve>]
+#   tests/corpus/run_corpus.sh <mlsc_report> <mlsc_map> [<mlsc_serve>
+#                              [<bench_churn>]]
 #
 # Run it against a -DMLSC_SANITIZE=address,undefined build to turn the
 # corpus into a memory-safety gate for the parse paths.
 set -u
 
-if [ "$#" -lt 2 ] || [ "$#" -gt 3 ]; then
-  echo "usage: $0 <mlsc_report-binary> <mlsc_map-binary> [<mlsc_serve-binary>]" >&2
+if [ "$#" -lt 2 ] || [ "$#" -gt 4 ]; then
+  echo "usage: $0 <mlsc_report-binary> <mlsc_map-binary> [<mlsc_serve-binary> [<bench_churn-binary>]]" >&2
   exit 2
 fi
 report=$1
 map=$2
 serve=${3:-}
+churn=${4:-}
 corpus=$(dirname "$0")
 fail=0
 
@@ -81,6 +83,24 @@ if [ -n "$serve" ]; then
   for doc in "$corpus"/serve/*.jsonl; do
     expect_usage_error "mlsc_serve $(basename "$doc")" \
       "$serve" --events "$doc" --clients 8 --io 4 --storage 2
+  done
+  # Iteration-chunk caps outside 1..2^32-1 are misuse, not a silent "one
+  # chunk per nest".  The stream is valid, so only the cap can fail it.
+  events=$(mktemp)
+  printf '%s\n' '{"schema": "mlsc-serve-event-v1"}' \
+    '{"at_ms": 1, "event": "register", "id": "w0", "workload": "hf", "size_factor": 0.0625, "clients": 2}' \
+    > "$events"
+  for cap in 0 4294967296; do
+    expect_usage_error "mlsc_serve --max-chunks $cap" \
+      "$serve" --events "$events" --clients 8 --io 4 --storage 2 \
+      --max-chunks "$cap"
+  done
+  rm -f "$events"
+fi
+if [ -n "$churn" ]; then
+  for cap in 0 4294967296; do
+    expect_usage_error "bench_churn --max-chunks=$cap" \
+      "$churn" --max-chunks="$cap" --json=/dev/null
   done
 fi
 

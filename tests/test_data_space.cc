@@ -83,5 +83,17 @@ TEST(DataSpace, ChunkSizeSweepChangesGranularity) {
   EXPECT_EQ(DataSpace(p, 128).num_chunks(), 6u);
 }
 
+TEST(DataSpace, RejectsMoreThan2To32Chunks) {
+  // One array of exactly 2^32 chunks: its count must not wrap to 0.
+  poly::Program one;
+  one.add_array({"A", {std::int64_t{1} << 32}, 64});
+  EXPECT_THROW(DataSpace(one, 64), mlsc::Error);
+  // Two arrays that fit apart but not together.
+  poly::Program two;
+  two.add_array({"A", {std::int64_t{1} << 31}, 64});
+  two.add_array({"B", {std::int64_t{1} << 31}, 64});
+  EXPECT_THROW(DataSpace(two, 64), mlsc::Error);
+}
+
 }  // namespace
 }  // namespace mlsc::core

@@ -8,12 +8,16 @@ namespace mlsc::poly {
 namespace {
 
 TEST(ArrayDecl, SizesAndFlatten) {
-  const ArrayDecl a{"A", {4, 8}, 1024};
+  Program p;
+  const ArrayRef ref{p.add_array({"A", {4, 8}, 1024}),
+                     AccessMap::identity(2, {0, 0})};
+  const ArrayDecl& a = p.array(ref.array);
   EXPECT_EQ(a.num_elements(), 32u);
   EXPECT_EQ(a.size_bytes(), 32u * 1024u);
-  EXPECT_EQ(a.flatten(std::vector<std::int64_t>{0, 0}), 0u);
-  EXPECT_EQ(a.flatten(std::vector<std::int64_t>{1, 0}), 8u);
-  EXPECT_EQ(a.flatten(std::vector<std::int64_t>{3, 7}), 31u);
+  // resolve_element flattens row-major.
+  EXPECT_EQ(resolve_element(p, ref, Iteration{0, 0}), 0u);
+  EXPECT_EQ(resolve_element(p, ref, Iteration{1, 0}), 8u);
+  EXPECT_EQ(resolve_element(p, ref, Iteration{3, 7}), 31u);
 }
 
 TEST(ArrayDecl, InBounds) {

@@ -23,6 +23,7 @@
 //
 // Exit status: 0 success, 1 runtime failure, 3 command-line misuse
 // (including malformed event files).
+#include <cstdint>
 #include <iostream>
 #include <string>
 
@@ -128,8 +129,14 @@ int main(int argc, char** argv) {
       } else if (args.value_flag("--drift-sample")) {
         options.drift_sample = args.value_u64();
       } else if (args.value_flag("--max-chunks")) {
+        const std::uint64_t cap = args.value_u64();
+        if (cap == 0 || cap > UINT32_MAX) {
+          throw UsageError("--max-chunks: expected 1.." +
+                           std::to_string(UINT32_MAX) + ", got " +
+                           args.value());
+        }
         options.state.tagging.max_iteration_chunks =
-            static_cast<std::uint32_t>(args.value_u64());
+            static_cast<std::uint32_t>(cap);
       } else if (args.value_flag("--journal")) {
         options.journal_path = args.value();
       } else if (args.value_flag("--snapshot")) {
