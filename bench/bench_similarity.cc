@@ -1,14 +1,16 @@
 // Similarity-pipeline benchmark (DESIGN.md §15): sweeps synthetic
 // iteration-chunk tables from 8k chunks upward and times the similarity
-// graph build against the exhaustive reference where feasible —
-//   graph_ms    inverted-index pair scoring + CSR freeze
+// graph's pair scoring against the exhaustive reference where feasible —
+//   graph_ms    inverted-index pair scoring (score_chunk_tags; no CSR
+//               freeze — no graph object is built)
 //   exact_ms    the O(n^2) sparse reference sweep (rows small enough to
 //               afford it)
 //   cluster_ms  the affinity-forest clustering kernel
 //   greedy_ms   the greedy merge oracle (same feasibility cutoff)
 //   map_ms      the full hierarchical map end-to-end
-// plus the candidate-pair reduction ratio (scored / all pairs — the
-// deterministic CI-guarded metric) and the banding variant's pair count.
+// plus the scored pair count (candidate_pairs) and the candidate-pair
+// reduction ratio (scored / n(n-1)/2 — the deterministic CI-guarded
+// metric).
 // A second table reports mapping quality: the engine-simulated cost
 // (exec time) of real workloads mapped with the greedy oracle vs the
 // forest kernel.
@@ -19,8 +21,6 @@
 //   --exact-cap=N   run the exact oracle up to N chunks (default 8192)
 //   --threads=N     mapping threads, 0 = all cores (default 0)
 //   --target=N      clusters per clustering timing run (default 16)
-//   --bands=N --rows=N  minhash banding for the banded column
-//                       (default 8 bands x 2 rows)
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -32,8 +32,8 @@
 
 #include "bench/common.h"
 #include "core/clustering.h"
-#include "core/graph.h"
 #include "core/mapper.h"
+#include "core/pair_scorer.h"
 #include "sim/experiment.h"
 #include "support/check.h"
 #include "support/rng.h"
@@ -112,7 +112,6 @@ int main(int argc, char** argv) {
   std::size_t exact_cap = 8192;
   std::size_t threads = 0;
   std::size_t target = 16;
-  core::MinhashParams banding{.bands = 8, .rows = 2};
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--max-chunks=", 0) == 0) {
@@ -123,12 +122,6 @@ int main(int argc, char** argv) {
       threads = parse_size_flag(arg, "--threads=");
     } else if (arg.rfind("--target=", 0) == 0) {
       target = parse_size_flag(arg, "--target=");
-    } else if (arg.rfind("--bands=", 0) == 0) {
-      banding.bands = static_cast<std::uint32_t>(
-          parse_size_flag(arg, "--bands="));
-    } else if (arg.rfind("--rows=", 0) == 0) {
-      banding.rows = static_cast<std::uint32_t>(
-          parse_size_flag(arg, "--rows="));
     }
   }
   MLSC_CHECK(max_chunks <= (1u << 20), "--max-chunks tops out at 1048576");
@@ -145,12 +138,11 @@ int main(int argc, char** argv) {
   const auto tree =
       topology::make_layered_hierarchy(8, 4, 2, 4 * kMiB, 4 * kMiB, 4 * kMiB);
 
-  std::cout << "== similarity: sub-quadratic graph + affinity forest ==\n"
+  std::cout << "== similarity: sub-quadratic pair scoring + affinity "
+               "forest ==\n"
             << "synthetic chunk tables, 2n data chunks, windowed sharing; "
                "times in ms\n"
-            << "exact oracle columns up to " << exact_cap
-            << " chunks; banded column: " << banding.bands << " bands x "
-            << banding.rows << " rows\n\n";
+            << "exact oracle columns up to " << exact_cap << " chunks\n\n";
 
   const auto timed_min = [&](auto&& body) {
     double best = std::numeric_limits<double>::infinity();
@@ -163,44 +155,33 @@ int main(int argc, char** argv) {
   };
 
   Table table({"chunks", "graph_ms", "exact_ms", "graph_speedup",
-               "candidate_pairs", "reduction_ratio", "banded_pairs",
-               "cluster_ms", "greedy_ms", "map_ms"});
+               "candidate_pairs", "reduction_ratio", "cluster_ms",
+               "greedy_ms", "map_ms"});
 
   for (const std::size_t n : chunk_counts) {
     Rng rng(2010);
     const auto chunks = make_chunks(n, rng);
     const bool feasible = n <= exact_cap;
 
-    // Pair scoring + freeze.  The graph is built in a nested scope so its
-    // CSR is freed before the clustering and map runs; only the stats
-    // survive.
-    core::GraphStats stats;
-    std::size_t num_edges = 0;
+    // Pair scoring.  The rows are dropped inside the timed body, so they
+    // are freed before the clustering and map runs; only the count
+    // survives.
+    std::uint64_t scored_pairs = 0;
     const double graph_ms = timed_min([&] {
-      core::GraphOptions options;
-      options.pool = pool_ptr;
-      const core::ChunkGraph graph(chunks, options);
-      stats = graph.stats();
-      num_edges = graph.num_edges();
+      scored_pairs = 0;
+      for (const auto& row : core::score_chunk_tags(chunks, pool_ptr)) {
+        scored_pairs += row.size();
+      }
     });
-
-    // Banding variant: same build with the LSH filter on; the surviving
-    // pair count is deterministic (SplitMix64, pinned seed).
-    core::GraphStats banded_stats;
-    timed_min([&] {
-      core::GraphOptions options;
-      options.pool = pool_ptr;
-      options.banding = banding;
-      const core::ChunkGraph graph(chunks, options);
-      banded_stats = graph.stats();
-    });
+    const std::uint64_t total_pairs =
+        static_cast<std::uint64_t>(n) * (n - 1) / 2;
 
     double exact_ms = std::numeric_limits<double>::quiet_NaN();
     if (feasible) {
       exact_ms = timed_min([&] {
         MLSC_CHECK(core::exhaustive_similarity_edges(chunks).size() ==
-                       num_edges,
-                   "candidate graph lost edges vs the exhaustive sweep");
+                       scored_pairs,
+                   "pair scorer lost pairs vs the exhaustive sweep");
       });
     }
 
@@ -247,8 +228,8 @@ int main(int argc, char** argv) {
     std::cerr << "[bench] chunks=" << n << " graph="
               << format_double(graph_ms, 1) << "ms cluster="
               << format_double(cluster_ms, 1) << "ms map="
-              << format_double(map_ms, 1) << "ms pairs="
-              << stats.scored_pairs << "/" << stats.total_pairs << "\n";
+              << format_double(map_ms, 1) << "ms pairs=" << scored_pairs
+              << "/" << total_pairs << "\n";
 
     const auto opt = [](double v, int digits) {
       return std::isfinite(v) ? format_double(v, digits) : std::string("-");
@@ -258,9 +239,10 @@ int main(int argc, char** argv) {
          std::isfinite(exact_ms) && graph_ms > 0.0
              ? format_double(exact_ms / graph_ms, 2)
              : "-",
-         std::to_string(stats.scored_pairs),
-         format_double(stats.reduction_ratio(), 6),
-         std::to_string(banded_stats.scored_pairs),
+         std::to_string(scored_pairs),
+         format_double(static_cast<double>(scored_pairs) /
+                           static_cast<double>(total_pairs),
+                       6),
          format_double(cluster_ms, 2), opt(greedy_ms, 2),
          format_double(map_ms, 2)});
   }

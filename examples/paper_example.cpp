@@ -9,7 +9,7 @@
 #include <iostream>
 
 #include "core/client_codegen.h"
-#include "core/graph.h"
+#include "core/pair_scorer.h"
 #include "core/pipeline.h"
 #include "core/tagging.h"
 #include "support/table.h"
@@ -59,9 +59,19 @@ int main() {
   std::cout << "Figure 8 tags:\n";
   tags.print(std::cout);
 
-  const core::ChunkGraph graph(tagging.chunks);
+  // Nodes carry their tags; edges are the nonzero common_bits pairs.
   std::cout << "\nFigure 8 similarity graph (graphviz):\n"
-            << graph.to_dot(tagging.chunks, space.num_chunks());
+            << "graph iteration_chunks {\n";
+  for (std::size_t i = 0; i < tagging.chunks.size(); ++i) {
+    std::cout << "  g" << i << " [label=\"γ" << i << "\\n"
+              << tagging.chunks[i].tag.to_string(space.num_chunks())
+              << "\"];\n";
+  }
+  for (const auto& e : core::exhaustive_similarity_edges(tagging.chunks)) {
+    std::cout << "  g" << e.a << " -- g" << e.b << " [label=\"" << e.weight
+              << "\"];\n";
+  }
+  std::cout << "}\n";
 
   // Figures 9/17: map and schedule.
   core::PipelineOptions options;

@@ -5,7 +5,7 @@
 #include <span>
 
 #include "core/affinity_forest.h"
-#include "core/graph.h"
+#include "core/pair_scorer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "support/check.h"

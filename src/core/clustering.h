@@ -8,9 +8,9 @@
 //     cluster's best average-linkage partner under a winner tree).
 //     Quality reference; the oracle for equivalence tests.
 //   - kForest: the scalable similarity-weighted affinity forest —
-//     candidate edges from the shared-data pair scorer (core/graph.h), a
-//     Borůvka-style best-neighbor-hooking maximum-spanning-forest build
-//     (parallel over the thread pool), and a cut of the forest to the
+//     candidate edges from the shared-data pair scorer
+//     (core/pair_scorer.h), a Borůvka-style best-neighbor-hooking
+//     maximum-spanning-forest build (parallel over the thread pool), and a cut of the forest to the
 //     level's fan-out (single-linkage semantics) — both from
 //     core/affinity_forest, shared with the online service.
 //     Deterministic at any thread count.
@@ -88,7 +88,8 @@ struct ClusterOptions {
 /// `chunks` may grow; all member indices remain valid.
 ///
 /// Both kernels score the initial pairs with score_shared_pairs
-/// (core/graph.h).  Greedy kernel: each cluster keeps its best partner
+/// (core/pair_scorer.h).
+/// Greedy kernel: each cluster keeps its best partner
 /// (score, partner, partner version) and a winner tree over clusters
 /// yields the best pair; a merge rescans only the merged cluster over a
 /// versioned inverted data-chunk index and offers the new pairs to their

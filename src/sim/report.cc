@@ -1,6 +1,8 @@
 #include "sim/report.h"
 
+#include <algorithm>
 #include <ostream>
+#include <tuple>
 
 #include "support/check.h"
 #include "support/string_util.h"
@@ -16,6 +18,41 @@ double share(Nanoseconds part, Nanoseconds whole) {
   return whole == 0 ? 0.0
                     : 100.0 * static_cast<double>(part) /
                           static_cast<double>(whole);
+}
+
+/// One line per level naming its heaviest cross-client victim->evictor
+/// cells of the eviction-attribution matrix (self-evictions excluded —
+/// evicting your own chunk is capacity pressure, not interference).
+void write_top_evictors(std::ostream& out, const obs::LevelInsight& level,
+                        std::size_t num_clients) {
+  struct Cell {
+    std::size_t victim, evictor;
+    std::uint64_t count;
+  };
+  std::vector<Cell> cells;
+  for (std::size_t v = 0; v < num_clients; ++v) {
+    for (std::size_t e = 0; e < num_clients; ++e) {
+      const std::uint64_t count =
+          level.eviction_matrix[v * num_clients + e];
+      if (v != e && count > 0) cells.push_back({v, e, count});
+    }
+  }
+  if (cells.empty()) return;
+  std::sort(cells.begin(), cells.end(), [](const Cell& a, const Cell& b) {
+    return a.count != b.count ? a.count > b.count
+                              : std::tie(a.victim, a.evictor) <
+                                    std::tie(b.victim, b.evictor);
+  });
+  out << "  " << level.level_name() << " cross-client evictions:";
+  const std::size_t top = std::min<std::size_t>(cells.size(), 5);
+  for (std::size_t i = 0; i < top; ++i) {
+    out << (i == 0 ? " " : ", ") << "client " << cells[i].evictor
+        << " evicted client " << cells[i].victim << " x" << cells[i].count;
+  }
+  if (cells.size() > top) {
+    out << ", ... (" << cells.size() - top << " more pairs)";
+  }
+  out << "\n";
 }
 
 }  // namespace
@@ -137,6 +174,11 @@ void write_report(std::ostream& out, const ExperimentResult& result,
         title == "insight") {
       out << "\n";
       table.print(out);
+    }
+    if (title == "insight") {
+      for (const auto& level : result.engine.insight.levels) {
+        write_top_evictors(out, level, result.engine.insight.num_clients);
+      }
     }
   }
 

@@ -15,7 +15,9 @@ namespace mlsc::sim {
 
 /// A full single-experiment report: miss rates per level, the I/O stall
 /// breakdown (client cache / shared caches / peers / disk / queueing),
-/// disk traffic, synchronization, and timing.
+/// disk traffic, synchronization, and timing.  With insight attached
+/// (MachineConfig::explain), the miss-class table is followed by each
+/// level's five heaviest cross-client victim->evictor pairs.
 void write_report(std::ostream& out, const ExperimentResult& result,
                   const MachineConfig& config);
 

@@ -38,6 +38,16 @@ std::uint64_t ArgParser::value_u64() const {
   return out;
 }
 
+std::uint64_t ArgParser::value_u64_in(std::uint64_t lo,
+                                      std::uint64_t hi) const {
+  const std::uint64_t out = value_u64();
+  if (out < lo || out > hi) {
+    throw UsageError(flag_name_ + ": expected " + std::to_string(lo) + ".." +
+                     std::to_string(hi) + ", got " + value_);
+  }
+  return out;
+}
+
 double ArgParser::value_double() const {
   errno = 0;
   char* end = nullptr;

@@ -26,6 +26,10 @@ class UsageError : public Error {
 /// Exit status for CLI misuse (distinct from 1 = runtime failure).
 inline constexpr int kUsageExitCode = 3;
 
+/// Largest --threads value a tool accepts.  Each thread is an OS thread,
+/// so a mistyped count must not start millions of them.
+inline constexpr std::uint64_t kMaxThreads = 1024;
+
 class ArgParser {
  public:
   ArgParser(int argc, char** argv) : argc_(argc), argv_(argv) {}
@@ -60,6 +64,13 @@ class ArgParser {
   /// malformed input (partial parses and trailing garbage rejected).
   std::uint64_t value_u64() const;
   double value_double() const;
+
+  /// value_u64() limited to [lo, hi]; throws UsageError naming the
+  /// range otherwise.
+  std::uint64_t value_u64_in(std::uint64_t lo, std::uint64_t hi) const;
+
+  /// A --threads count: 0 (all cores) up to kMaxThreads.
+  std::size_t value_threads() const { return value_u64_in(0, kMaxThreads); }
 
   /// Fails the current argument as unknown.
   [[noreturn]] void unknown() const {

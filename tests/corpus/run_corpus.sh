@@ -77,6 +77,15 @@ else
   echo "ok: mlsc_map --balance 1.5"
 fi
 
+# Values that would wrap or overflow when stored: a readahead depth
+# past 2^32-1, and a cache size of 0 MiB or one whose bytes exceed 2^64.
+expect_usage_error "mlsc_map --readahead 4294967296" \
+  "$map" --workload hf --size-factor 0.0625 --readahead 4294967296
+for mib in 0 17592186044416; do
+  expect_usage_error "mlsc_map --cache-mib $mib" \
+    "$map" --workload hf --size-factor 0.0625 --cache-mib "$mib"
+done
+
 # Malformed serve event streams (unknown event types, duplicate ids,
 # negative client counts, broken schema headers / JSON / fault specs).
 if [ -n "$serve" ]; then

@@ -245,8 +245,8 @@ TEST(CacheInsight, PartitionAndCurveHoldForEveryRegistryWorkload) {
 }
 
 TEST(CacheInsight, PartitionAndCurveHoldAtPaperTopology) {
-  // The default 64/32/16 machine — the shape CI's mlsc_explain run and
-  // the committed baseline use.
+  // The default 64/32/16 machine — the shape CI's mlsc_map --explain
+  // run and the committed baseline use.
   MachineConfig config;
   config.explain = true;
   const auto workload = workloads::make_workload("sar", 1.0 / 16.0);

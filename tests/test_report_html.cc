@@ -125,8 +125,8 @@ TEST(ReportHtml, StallSectionAggregatesPerClient) {
 
 TEST(ReportHtml, HeadroomPanelRendersPercentOfOptimalBars) {
   // A record carrying headroom_pct columns (bench_headroom /
-  // mlsc_headroom output) gets the dedicated "% of optimal" panel with
-  // one absolute-scale bar per (row, level) pair.
+  // mlsc_map --report full output) gets the dedicated "% of optimal"
+  // panel with one absolute-scale bar per (row, level) pair.
   const char* record_text = R"json({
     "schema": "mlsc-run-record-v1",
     "binary": "bench_headroom",

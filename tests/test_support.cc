@@ -223,6 +223,28 @@ TEST(ArgParser, ThrowsUsageErrorOnMisuse) {
   }
 }
 
+TEST(ArgParser, RangeHelpersRejectOutOfRangeValues) {
+  std::vector<std::string> args{"tool", "--threads=1024", "--threads=1025",
+                                "--threads=18446744073709551615",
+                                "--readahead=4294967296"};
+  std::vector<char*> argv;
+  auto parser = make_parser(args, argv);
+  ASSERT_TRUE(parser.next());
+  ASSERT_TRUE(parser.value_flag("--threads"));
+  EXPECT_EQ(parser.value_threads(), kMaxThreads);
+  ASSERT_TRUE(parser.next());
+  ASSERT_TRUE(parser.value_flag("--threads"));
+  EXPECT_THROW(parser.value_threads(), UsageError);  // one past the cap
+  ASSERT_TRUE(parser.next());
+  ASSERT_TRUE(parser.value_flag("--threads"));
+  EXPECT_THROW(parser.value_threads(), UsageError);
+  ASSERT_TRUE(parser.next());
+  ASSERT_TRUE(parser.value_flag("--readahead"));
+  EXPECT_THROW(parser.value_u64_in(0, UINT32_MAX), UsageError);
+  EXPECT_EQ(parser.value_u64_in(0, std::uint64_t{1} << 32),
+            std::uint64_t{1} << 32);
+}
+
 TEST(ArgParser, ValueFlagDistinguishesPrefixes) {
   // "--size" must not swallow "--size-factor=2".
   std::vector<std::string> args{"tool", "--size-factor=2"};

@@ -7,7 +7,6 @@
 #include <optional>
 #include <unordered_map>
 
-#include "core/graph.h"
 #include "support/rng.h"
 #include "support/thread_pool.h"
 
@@ -62,13 +61,15 @@ TEST(Tagging, Fig8GraphWeights) {
   const DataSpace space(p, 64 * 8);
   const std::vector<poly::NestId> nests{0};
   const auto result = compute_iteration_chunks(p, space, nests);
-  const ChunkGraph graph(result.chunks);
+  const auto weight = [&](std::size_t a, std::size_t b) {
+    return result.chunks[a].tag.common_bits(result.chunks[b].tag);
+  };
   // Fig. 8: γ1-γ3 weight 3, γ1-γ5 weight 2, γ1-γ2 weight 1 (not drawn).
-  EXPECT_EQ(graph.weight(0, 2), 3u);
-  EXPECT_EQ(graph.weight(0, 4), 2u);
-  EXPECT_EQ(graph.weight(0, 1), 1u);
-  EXPECT_EQ(graph.weight(2, 4), 3u);  // γ3-γ5
-  EXPECT_EQ(graph.weight(1, 3), 3u);  // γ2-γ4
+  EXPECT_EQ(weight(0, 2), 3u);
+  EXPECT_EQ(weight(0, 4), 2u);
+  EXPECT_EQ(weight(0, 1), 1u);
+  EXPECT_EQ(weight(2, 4), 3u);  // γ3-γ5
+  EXPECT_EQ(weight(1, 3), 3u);  // γ2-γ4
 }
 
 TEST(Tagging, RecurringTagIsOneChunkWithManyRanges) {

@@ -2,7 +2,11 @@
 //
 // Maps a workload onto a configurable storage cache hierarchy with any
 // of the paper's schemes and reports miss rates, latencies, the mapping
-// itself, or the generated per-client code.
+// itself, or the generated per-client code.  --report full adds measured
+// data movement against the I/O lower bound per cache level and, with
+// --explain, each level's miss classes and its heaviest cross-client
+// evictions; --report bound prints the lower bound alone, without
+// simulating.
 //
 // Usage:
 //   mlsc_map [--workload NAME] [--scheme original|intra|inter|sched]
@@ -11,11 +15,11 @@
 //            [--placement access|eviction|exclusive]
 //            [--balance FRACTION] [--alpha A] [--beta B]
 //            [--write-back] [--cooperative] [--readahead N]
-//            [--size-factor F] [--threads N]
+//            [--size-factor F] [--threads N] [--cache-mib M]
 //            [--faults FILE|SPEC] [--remap] [--explain]
 //            [--trace PATH] [--metrics PATH] [--json PATH]
 //            [--log-level debug|info|warn|error|off]
-//            [--report stats|mapping|codegen|csv]
+//            [--report stats|full|bound|compare|mapping|codegen|csv]
 //
 // Exit status: 0 success, 1 runtime failure, 3 command-line misuse.
 #include <chrono>
@@ -25,6 +29,7 @@
 #include <thread>
 
 #include "core/client_codegen.h"
+#include "obs/lower_bound.h"
 #include "obs/metrics.h"
 #include "obs/run_record.h"
 #include "obs/session.h"
@@ -35,6 +40,7 @@
 #include "support/log.h"
 #include "support/string_util.h"
 #include "support/table.h"
+#include "support/units.h"
 #include "workloads/irregular.h"
 #include "workloads/registry.h"
 
@@ -65,8 +71,12 @@ void print_usage(std::ostream& out, const char* argv0) {
       << "  --cooperative       probe sibling client caches\n"
       << "  --readahead N       disk readahead depth (default 0)\n"
       << "  --size-factor F     workload data scale (default 1.0)\n"
-      << "  --threads N         mapping-stage threads; 0 = all cores "
-         "(default 1, result is identical for any value)\n"
+      << "  --cache-mib M       per-node cache capacity at every level "
+         "(default 32)\n"
+      << "  --threads N         mapping-stage threads, at most " << kMaxThreads
+      << "; 0 = all cores\n"
+      << "                      (default 1, result is identical for any "
+         "value)\n"
       << "  --cluster KIND      auto | greedy | forest: clustering kernel "
          "(default auto)\n"
       << "  --forest-threshold N  auto switches to the forest kernel at N "
@@ -80,7 +90,14 @@ void print_usage(std::ostream& out, const char* argv0) {
       << "                      surviving topology when the schedule "
          "fail-stops a node\n"
       << CommonToolOptions::usage(/*with_reps=*/false, /*with_explain=*/true)
-      << "  --report KIND       stats|full|compare|mapping|codegen|csv (default stats)\n";
+      << "  --report KIND       stats|full|bound|compare|mapping|codegen|csv "
+         "(default stats)\n";
+}
+
+std::string gib(std::uint64_t bytes) {
+  return format_double(static_cast<double>(bytes) /
+                           static_cast<double>(kGiB), 2) +
+         " GiB";
 }
 
 }  // namespace
@@ -150,11 +167,17 @@ int main(int argc, char** argv) {
         machine.cooperative_caching = true;
       } else if (args.value_flag("--readahead")) {
         machine.readahead_chunks =
-            static_cast<std::uint32_t>(args.value_u64());
+            static_cast<std::uint32_t>(args.value_u64_in(0, UINT32_MAX));
       } else if (args.value_flag("--size-factor")) {
         size_factor = args.value_double();
+      } else if (args.value_flag("--cache-mib")) {
+        const std::uint64_t bytes =
+            args.value_u64_in(1, UINT64_MAX / kMiB) * kMiB;
+        machine.client_cache_bytes = bytes;
+        machine.io_cache_bytes = bytes;
+        machine.storage_cache_bytes = bytes;
       } else if (args.value_flag("--threads")) {
-        scheme.num_threads = args.value_u64();
+        scheme.num_threads = args.value_threads();
       } else if (args.value_flag("--cluster")) {
         const std::string kind = args.value();
         if (kind == "auto") {
@@ -195,8 +218,9 @@ int main(int argc, char** argv) {
       throw UsageError("--scheme: unknown scheme '" + scheme_name + "'");
     }
 
-    if (report != "stats" && report != "full" && report != "compare" &&
-        report != "mapping" && report != "codegen" && report != "csv") {
+    if (report != "stats" && report != "full" && report != "bound" &&
+        report != "compare" && report != "mapping" && report != "codegen" &&
+        report != "csv") {
       throw UsageError("--report: unknown kind '" + report + "'");
     }
 
@@ -276,6 +300,32 @@ int main(int argc, char** argv) {
                     << mapping.client_iterations(c) << " iterations\n";
         }
       }
+      return 0;
+    }
+
+    if (report == "bound") {
+      const auto bound = [&] {
+        obs::ScopedPhase phase(record, "bound");
+        return obs::compute_io_lower_bound(workload.program,
+                                           sim::machine_level_specs(machine));
+      }();
+      Table table({"level", "fast_memory", "compulsory_bytes",
+                   "capacity_bytes", "io_lower_bound"});
+      for (const auto& level : bound.levels) {
+        table.add_row({level.level, gib(level.fast_memory_bytes),
+                       std::to_string(level.compulsory_bytes),
+                       std::to_string(level.capacity_bytes),
+                       std::to_string(level.bound_bytes)});
+      }
+      std::cout << workload_name << " (footprint >= "
+                << format_double(static_cast<double>(bound.footprint_bytes) /
+                                     static_cast<double>(kMiB),
+                                 2)
+                << " MiB):\n";
+      table.print(std::cout);
+      std::cout << "\n";
+      record.tables.emplace_back("bound", std::move(table));
+      write_record();
       return 0;
     }
 

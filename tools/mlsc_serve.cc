@@ -47,8 +47,10 @@ void print_usage(std::ostream& out, const char* argv0) {
          "streams)\n"
       << "  --clients/--io/--storage N   topology (default 64/32/16)\n"
       << "  --chunk BYTES       data chunk size (default 65536)\n"
-      << "  --threads N         mapping threads; 0 = all cores (default 1,\n"
-      << "                      end state is identical for any value)\n"
+      << "  --threads N         mapping threads, at most " << kMaxThreads
+      << "; 0 = all cores\n"
+      << "                      (default 1, end state is identical for any\n"
+      << "                      value)\n"
       << "  --seed S            journal seed stamp (default 0)\n"
       << "  --policy KIND       auto | patch | partial | full (default "
          "auto)\n"
@@ -101,7 +103,7 @@ int main(int argc, char** argv) {
         options.machine.chunk_size_bytes = args.value_u64();
         options.machine.stripe_size_bytes = options.machine.chunk_size_bytes;
       } else if (args.value_flag("--threads")) {
-        options.num_threads = args.value_u64();
+        options.num_threads = args.value_threads();
       } else if (args.value_flag("--seed")) {
         options.seed = args.value_u64();
       } else if (args.value_flag("--policy")) {
@@ -129,14 +131,8 @@ int main(int argc, char** argv) {
       } else if (args.value_flag("--drift-sample")) {
         options.drift_sample = args.value_u64();
       } else if (args.value_flag("--max-chunks")) {
-        const std::uint64_t cap = args.value_u64();
-        if (cap == 0 || cap > UINT32_MAX) {
-          throw UsageError("--max-chunks: expected 1.." +
-                           std::to_string(UINT32_MAX) + ", got " +
-                           args.value());
-        }
         options.state.tagging.max_iteration_chunks =
-            static_cast<std::uint32_t>(cap);
+            static_cast<std::uint32_t>(args.value_u64_in(1, UINT32_MAX));
       } else if (args.value_flag("--journal")) {
         options.journal_path = args.value();
       } else if (args.value_flag("--snapshot")) {
