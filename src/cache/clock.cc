@@ -1,5 +1,12 @@
 // CLOCK (second-chance) policy core: a circular buffer of frames with
 // reference bits; the hand sweeps past referenced frames, clearing them.
+//
+// Frames are created on demand, so memory follows the resident count
+// rather than the capacity.  A fill takes the lowest-index free frame (a
+// min-heap of erased frames, else a new frame at the end): the same frame
+// a scan from frame 0 would find, so the hand meets the same victims.
+#include <functional>
+#include <queue>
 #include <unordered_map>
 #include <vector>
 
@@ -11,7 +18,7 @@ namespace {
 
 class ClockPolicy : public PolicyCore {
  public:
-  explicit ClockPolicy(std::size_t capacity) : frames_(capacity) {
+  explicit ClockPolicy(std::size_t capacity) : capacity_(capacity) {
     MLSC_CHECK(capacity > 0, "cache capacity must be positive");
   }
 
@@ -26,16 +33,18 @@ class ClockPolicy : public PolicyCore {
 
   std::optional<ChunkId> insert(ChunkId id) override {
     if (touch(id)) return std::nullopt;
-    if (size_ < frames_.size()) {
-      // Fill an empty frame.
-      for (std::size_t f = 0; f < frames_.size(); ++f) {
-        if (!frames_[f].occupied) {
-          place(f, id);
-          ++size_;
-          return std::nullopt;
-        }
+    if (size_ < capacity_) {
+      // Fill the lowest-index empty frame.
+      std::size_t frame = frames_.size();
+      if (!free_frames_.empty()) {
+        frame = free_frames_.top();
+        free_frames_.pop();
+      } else {
+        frames_.emplace_back();
       }
-      MLSC_CHECK(false, "size bookkeeping out of sync");
+      place(frame, id);
+      ++size_;
+      return std::nullopt;
     }
     // Sweep the hand until an unreferenced frame is found.
     while (frames_[hand_].referenced) {
@@ -52,29 +61,33 @@ class ClockPolicy : public PolicyCore {
   bool erase(ChunkId id) override {
     auto it = index_.find(id);
     if (it == index_.end()) return false;
-    frames_[it->second] = Frame{};
+    free_frames_.push(it->second);
     index_.erase(it);
     --size_;
     return true;
   }
 
   std::size_t size() const override { return size_; }
-  std::size_t capacity() const override { return frames_.size(); }
+  std::size_t capacity() const override { return capacity_; }
   PolicyKind kind() const override { return PolicyKind::kClock; }
 
  private:
   struct Frame {
     ChunkId chunk = 0;
-    bool occupied = false;
     bool referenced = false;
   };
 
   void place(std::size_t frame, ChunkId id) {
-    frames_[frame] = Frame{id, /*occupied=*/true, /*referenced=*/true};
+    frames_[frame] = Frame{id, /*referenced=*/true};
     index_[id] = frame;
   }
 
-  std::vector<Frame> frames_;
+  std::size_t capacity_;
+  std::vector<Frame> frames_;  // grows to capacity_ as chunks arrive
+  /// Erased frames below frames_.size(), smallest on top.
+  std::priority_queue<std::size_t, std::vector<std::size_t>,
+                      std::greater<std::size_t>>
+      free_frames_;
   std::unordered_map<ChunkId, std::size_t> index_;
   std::size_t hand_ = 0;
   std::size_t size_ = 0;

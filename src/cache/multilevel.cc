@@ -62,6 +62,17 @@ MultiLevelCache::MultiLevelCache(const topology::HierarchyTree& tree,
       caches_[id]->bind_metrics(metric_prefix(node.kind));
     }
   }
+  // Every walk below follows these per-node lists instead of the tree's
+  // parent links; which nodes carry a cache never changes after this.
+  path_begin_.reserve(tree_.num_nodes() + 1);
+  path_begin_.push_back(0);
+  for (topology::NodeId id = 0; id < tree_.num_nodes(); ++id) {
+    for (topology::NodeId n = id; n != topology::kInvalidNode;
+         n = tree_.node(n).parent) {
+      if (caches_[n] != nullptr) cached_paths_.push_back(n);
+    }
+    path_begin_.push_back(static_cast<std::uint32_t>(cached_paths_.size()));
+  }
 }
 
 const StorageCache& MultiLevelCache::cache(topology::NodeId node) const {
@@ -105,20 +116,17 @@ void MultiLevelCache::fill(topology::NodeId node, ChunkId chunk, bool dirty,
                            (write_back_ && evicted->dirty);
   if (!must_demote) return;
 
-  topology::NodeId parent = tree_.node(node).parent;
-  while (parent != topology::kInvalidNode) {
-    if (caches_[parent] != nullptr && failed_[parent] == 0) {
-      if (placement_ != PlacementMode::kAccessBased) {
-        fill(parent, evicted->chunk, evicted->dirty, writebacks);
-      } else if (caches_[parent]->contains(evicted->chunk)) {
-        // Inclusive copy already present: just transfer dirtiness.
-        if (evicted->dirty) caches_[parent]->mark_dirty(evicted->chunk);
-      } else {
-        fill(parent, evicted->chunk, evicted->dirty, writebacks);
-      }
-      return;
+  for (topology::NodeId parent : cached_path(node).subspan(1)) {
+    if (failed_[parent] != 0) continue;
+    if (placement_ != PlacementMode::kAccessBased) {
+      fill(parent, evicted->chunk, evicted->dirty, writebacks);
+    } else if (caches_[parent]->contains(evicted->chunk)) {
+      // Inclusive copy already present: just transfer dirtiness.
+      if (evicted->dirty) caches_[parent]->mark_dirty(evicted->chunk);
+    } else {
+      fill(parent, evicted->chunk, evicted->dirty, writebacks);
     }
-    parent = tree_.node(parent).parent;
+    return;
   }
   // No cache above: a dirty chunk leaves the hierarchy -> disk write.
   if (evicted->dirty) ++writebacks;
@@ -128,12 +136,10 @@ AccessResult MultiLevelCache::access(topology::NodeId client, ChunkId chunk,
                                      bool is_write) {
   MLSC_CHECK(tree_.node(client).kind == topology::NodeKind::kCompute,
              "accesses must originate at a compute node");
-  const auto path = tree_.path_to_root(client);
 
   AccessResult result;
-  std::vector<topology::NodeId> missed;  // cached nodes probed and missed
-  for (topology::NodeId node : path) {
-    if (caches_[node] == nullptr) continue;
+  missed_.clear();
+  for (topology::NodeId node : cached_path(client)) {
     if (failed_[node] != 0) {
       // Degraded routing: a failed cache is detected (costing a failover
       // penalty upstream), then its healthy siblings are probed before
@@ -161,7 +167,7 @@ AccessResult MultiLevelCache::access(topology::NodeId client, ChunkId chunk,
       result.hit_node = node;
       break;
     }
-    missed.push_back(node);
+    missed_.push_back(node);
 
     // Cooperative caching: right after the client's own cache missed,
     // probe the sibling compute nodes under the same parent.
@@ -187,7 +193,7 @@ AccessResult MultiLevelCache::access(topology::NodeId client, ChunkId chunk,
   switch (placement_) {
     case PlacementMode::kAccessBased:
       // Fill every cache that missed on the way to the hit/disk.
-      for (topology::NodeId node : missed) {
+      for (topology::NodeId node : missed_) {
         fill(node, chunk, /*dirty=*/false, result.writebacks_to_disk);
       }
       break;
@@ -196,13 +202,13 @@ AccessResult MultiLevelCache::access(topology::NodeId client, ChunkId chunk,
       // Fill only the cache closest to the client; evictions trickle down
       // via fill().  Exclusive placement additionally removes the chunk
       // from the shared cache that hit.
-      if (!missed.empty()) {
-        fill(missed.front(), chunk, /*dirty=*/false,
+      if (!missed_.empty()) {
+        fill(missed_.front(), chunk, /*dirty=*/false,
              result.writebacks_to_disk);
       }
       if (placement_ == PlacementMode::kExclusive &&
           result.hit_node != topology::kInvalidNode &&
-          result.hit_node != client && !result.peer_hit && !missed.empty()) {
+          result.hit_node != client && !result.peer_hit && !missed_.empty()) {
         caches_[result.hit_node]->erase(chunk);
       }
       break;
@@ -218,8 +224,8 @@ AccessResult MultiLevelCache::access(topology::NodeId client, ChunkId chunk,
 std::uint32_t MultiLevelCache::install(topology::NodeId client,
                                        ChunkId chunk) {
   std::uint32_t writebacks = 0;
-  for (topology::NodeId node : tree_.path_to_root(client)) {
-    if (caches_[node] == nullptr || failed_[node] != 0) continue;
+  for (topology::NodeId node : cached_path(client)) {
+    if (failed_[node] != 0) continue;
     if (!caches_[node]->contains(chunk)) {
       fill(node, chunk, /*dirty=*/false, writebacks);
     }
@@ -229,9 +235,8 @@ std::uint32_t MultiLevelCache::install(topology::NodeId client,
 
 bool MultiLevelCache::resident_on_path(topology::NodeId client,
                                        ChunkId chunk) const {
-  for (topology::NodeId node : tree_.path_to_root(client)) {
-    if (caches_[node] != nullptr && failed_[node] == 0 &&
-        caches_[node]->contains(chunk)) {
+  for (topology::NodeId node : cached_path(client)) {
+    if (failed_[node] == 0 && caches_[node]->contains(chunk)) {
       return true;
     }
   }

@@ -11,6 +11,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -129,6 +130,13 @@ class MultiLevelCache {
   void fill(topology::NodeId node, ChunkId chunk, bool dirty,
             std::uint32_t& writebacks);
 
+  /// The cached nodes from `node` up to the root, leaf first (the node
+  /// itself included when it carries a cache), failed or not.
+  std::span<const topology::NodeId> cached_path(topology::NodeId node) const {
+    return {cached_paths_.data() + path_begin_[node],
+            cached_paths_.data() + path_begin_[node + 1]};
+  }
+
   const topology::HierarchyTree& tree_;
   std::uint64_t chunk_size_;
   PlacementMode placement_;
@@ -137,6 +145,12 @@ class MultiLevelCache {
   std::vector<std::unique_ptr<StorageCache>> caches_;  // by node id
   std::vector<char> failed_;                           // by node id
   std::vector<std::size_t> base_chunks_;               // healthy capacity
+  // cached_path(n) is cached_paths_[path_begin_[n], path_begin_[n + 1]).
+  std::vector<std::uint32_t> path_begin_;
+  std::vector<topology::NodeId> cached_paths_;
+  // Cached nodes the current access probed and missed; a member so that
+  // access() allocates nothing once it has seen the deepest path.
+  std::vector<topology::NodeId> missed_;
 };
 
 }  // namespace mlsc::cache
