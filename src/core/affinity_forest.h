@@ -1,10 +1,11 @@
 // The affinity-forest kernel (DESIGN.md §15): the one maximum-spanning-
 // forest build and balance-aware cut shared by the offline forest
-// clustering (core/clustering) and the online service's standing forest
-// (serve/state).  Callers own candidate scoring — the offline kernel
-// scores average-linkage dots with score_shared_pairs
-// (core/pair_scorer.h), the service raw shared-bit counts over its
-// global posting index — and hand the scored edges here.
+// clustering (core/clustering) and the online service (serve/state),
+// whose standing forest hooks and cuts here and whose patch path merges
+// an arrival's leftover components with cut_forest over an empty
+// forest.  Both score their candidate edges with the one row kernel,
+// core::score_rows (core/pair_scorer.h) — average-linkage dots offline,
+// raw shared-bit counts in the service — and hand the edges here.
 #pragma once
 
 #include <cstdint>
@@ -58,12 +59,13 @@ std::size_t hook_forest(std::vector<ForestEdge> edges,
 /// Cuts an acyclic `forest` over `nodes` (ascending ids) to `target`
 /// components: forest edges are replayed best-first, skipping any merge
 /// past the (1 + slack) balance cap (negative slack disables the cap);
-/// components still over target merge rank-adjacent by order key,
-/// smallest combined iteration total first.  `iterations[i]` and
-/// `order_keys[i]` describe `nodes[i]`.  Returns the union-find over ids
-/// [0, nodes.back()] — roots are smallest members — for the caller to
-/// materialize; `cap_skipped`, when given, receives the merges the cap
-/// refused.
+/// components still over target merge rank-adjacent by order key (ties
+/// to the smaller root), smallest combined iteration total first (ties
+/// to the leftmost pair) — with an empty forest, only this leftover
+/// rule runs.  `iterations[i]` and `order_keys[i]` describe `nodes[i]`.
+/// Returns the union-find over ids [0, nodes.back()] — roots are
+/// smallest members — for the caller to materialize; `cap_skipped`, when
+/// given, receives the merges the cap refused.
 std::vector<std::uint32_t> cut_forest(std::vector<ForestEdge> forest,
                                       std::span<const std::uint32_t> nodes,
                                       std::span<const std::uint64_t> iterations,

@@ -1,32 +1,12 @@
 #include "core/pair_scorer.h"
 
 #include <algorithm>
-#include <functional>
 #include <limits>
+#include <ranges>
 
 #include "support/check.h"
 
 namespace mlsc::core {
-
-namespace {
-
-/// Runs body(lo, hi) over [0, n) — on the pool when one is given and the
-/// range is worth fanning out, inline otherwise.  Row outputs land in
-/// per-row slots, so both paths produce identical results.
-void for_rows(ThreadPool* pool, std::size_t n,
-              const std::function<void(std::size_t, std::size_t)>& body) {
-  if (pool != nullptr && pool->num_threads() > 1 && n >= 256) {
-    // Small grain: row cost is skewed (late rows see more partners), so
-    // dynamic claiming of many small chunks evens the load out.
-    const std::size_t grain =
-        std::max<std::size_t>(1, n / (pool->num_threads() * 8));
-    pool->parallel_for(0, n, grain, body);
-  } else {
-    body(0, n);
-  }
-}
-
-}  // namespace
 
 std::vector<std::vector<PairDot>> score_shared_pairs(
     std::span<const std::span<const ClusterTag::Entry>> nodes,
@@ -40,10 +20,6 @@ std::vector<std::vector<PairDot>> score_shared_pairs(
   // appended in id order.  Counting into offset[p + 2] makes the prefix
   // sum leave p's start in offset[p + 1], the fill cursor, which the
   // fill then advances to p's end — so no separate cursor array.
-  struct Posting {
-    std::uint32_t node;
-    std::uint32_t count;
-  };
   std::size_t width = 0;
   for (const auto& node : nodes) {
     if (!node.empty()) {
@@ -63,34 +39,16 @@ std::vector<std::vector<PairDot>> score_shared_pairs(
     }
   }
 
-  // Row a accumulates dot(a, b) for every b < a on a's postings — the
-  // lists are node-ascending, so each scan stops at the first entry >= a.
-  std::vector<std::vector<PairDot>> rows(n);
-  for_rows(pool, n, [&](std::size_t lo, std::size_t hi) {
-    thread_local std::vector<std::uint64_t> acc;
-    thread_local std::vector<std::uint32_t> touched;
-    if (acc.size() < n) acc.resize(n, 0);
-    for (std::size_t a = lo; a < hi; ++a) {
-      touched.clear();
-      for (const ClusterTag::Entry& e : nodes[a]) {
-        const std::uint64_t count_a = e.count;
-        const Posting* end = postings.data() + offset[e.pos + 1];
-        for (const Posting* p = postings.data() + offset[e.pos];
-             p != end && p->node < a; ++p) {
-          if (acc[p->node] == 0) touched.push_back(p->node);
-          acc[p->node] += count_a * p->count;
+  return score_rows(
+      std::views::iota(std::uint32_t{0}, static_cast<std::uint32_t>(n)), n,
+      [&](std::uint32_t a, const auto& scan) {
+        for (const ClusterTag::Entry& e : nodes[a]) {
+          scan(e.count, std::span<const Posting>(
+                            postings.data() + offset[e.pos],
+                            postings.data() + offset[e.pos + 1]));
         }
-      }
-      std::sort(touched.begin(), touched.end());
-      auto& row = rows[a];
-      row.reserve(touched.size());
-      for (const std::uint32_t b : touched) {
-        row.push_back(PairDot{b, acc[b]});
-        acc[b] = 0;  // keep the scratch all-zero between rows
-      }
-    }
-  });
-  return rows;
+      },
+      pool);
 }
 
 std::vector<std::vector<PairDot>> score_chunk_tags(

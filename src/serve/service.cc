@@ -59,7 +59,7 @@ ServeDecision MappingService::process(const ServeEvent& event) {
           event.id, event.workload, event.size_factor, event.clients, &pool_,
           &decision.delta);
       const PatchPlan plan = state_.build_patch(widx);
-      settle(decision, state_.simulate_patch(plan), &plan, widx);
+      settle(decision, state_.simulate_patch(plan), &plan);
       if (options_.drift_sample > 0) capture_baseline(widx);
       break;
     }
@@ -68,8 +68,7 @@ ServeDecision MappingService::process(const ServeEvent& event) {
       MLSC_CHECK(widx != static_cast<std::size_t>(-1),
                  "depart of unknown workload id '" << event.id << "'");
       state_.depart_workload(widx);
-      settle(decision, state_.imbalance(), nullptr,
-             static_cast<std::size_t>(-1));
+      settle(decision, state_.imbalance(), nullptr);
       break;
     }
     case EventKind::kScale: {
@@ -85,8 +84,7 @@ ServeDecision MappingService::process(const ServeEvent& event) {
         decision.reason = "cut target changed";
         state_.recut_all();
       } else {
-        settle(decision, state_.imbalance(), nullptr,
-               static_cast<std::size_t>(-1));
+        settle(decision, state_.imbalance(), nullptr);
       }
       break;
     }
@@ -106,8 +104,7 @@ ServeDecision MappingService::process(const ServeEvent& event) {
         decision.reason = "remap on failure";
         state_.recut_all();
       } else {
-        settle(decision, state_.imbalance(), nullptr,
-               static_cast<std::size_t>(-1));
+        settle(decision, state_.imbalance(), nullptr);
       }
       break;
     }
@@ -125,7 +122,7 @@ ServeDecision MappingService::process(const ServeEvent& event) {
 
 void MappingService::settle(ServeDecision& decision,
                             double imbalance_after_patch,
-                            const PatchPlan* plan, std::size_t widx) {
+                            const PatchPlan* plan) {
   PolicyInputs inputs;
   inputs.imbalance_after_patch = imbalance_after_patch;
   inputs.total_iterations = live_iterations(state_);
@@ -154,7 +151,6 @@ void MappingService::settle(ServeDecision& decision,
       any_full_yet_ = true;
       break;
   }
-  (void)widx;
 }
 
 void MappingService::capture_baseline(std::size_t widx) {

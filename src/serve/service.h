@@ -89,7 +89,7 @@ class MappingService {
 
  private:
   void settle(ServeDecision& decision, double imbalance_after_patch,
-              const PatchPlan* plan, std::size_t widx);
+              const PatchPlan* plan);
   bool probe_drift();
   void capture_baseline(std::size_t widx);
   void after_event(ServeDecision& decision);

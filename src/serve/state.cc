@@ -8,6 +8,7 @@
 
 #include "core/clustering.h"
 #include "core/data_space.h"
+#include "core/pair_scorer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "support/check.h"
@@ -32,6 +33,64 @@ void posting_erase(std::vector<std::uint32_t>& list, std::uint32_t id) {
   MLSC_CHECK(it != list.end() && *it == id,
              "posting list missing chunk " << id);
   list.erase(it);
+}
+
+struct Placement {
+  std::uint32_t index = 0;   // into the caller's size list
+  std::uint32_t client = 0;
+};
+
+/// The one placement rule: clusters go heaviest-first (ties to the lower
+/// index), each onto the least-loaded alive client (ties to the lower
+/// rank), whose `load` grows by the cluster's size.  Returns the
+/// placements in that order.
+std::vector<Placement> place_heaviest_first(
+    const std::vector<std::uint64_t>& sizes, const std::vector<bool>& alive,
+    std::vector<std::uint64_t>& load) {
+  std::vector<std::uint32_t> order(sizes.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](std::uint32_t x, std::uint32_t y) {
+    if (sizes[x] != sizes[y]) return sizes[x] > sizes[y];
+    return x < y;
+  });
+  std::vector<Placement> placed;
+  placed.reserve(order.size());
+  for (const std::uint32_t i : order) {
+    std::size_t pick = static_cast<std::size_t>(-1);
+    for (std::size_t r = 0; r < load.size(); ++r) {
+      if (!alive[r]) continue;
+      if (pick == static_cast<std::size_t>(-1) || load[r] < load[pick]) {
+        pick = r;
+      }
+    }
+    MLSC_CHECK(pick != static_cast<std::size_t>(-1),
+               "no alive clients to place on");
+    load[pick] += sizes[i];
+    placed.push_back(Placement{i, static_cast<std::uint32_t>(pick)});
+  }
+  return placed;
+}
+
+/// Max relative deviation of the alive clients' loads from their mean
+/// (0 with no alive client or no load).
+double max_deviation(const std::vector<std::uint64_t>& load,
+                     const std::vector<bool>& alive) {
+  std::uint64_t total = 0;
+  std::size_t live = 0;
+  for (std::size_t r = 0; r < load.size(); ++r) {
+    if (!alive[r]) continue;
+    total += load[r];
+    ++live;
+  }
+  if (live == 0 || total == 0) return 0.0;
+  const double mean = static_cast<double>(total) / static_cast<double>(live);
+  double worst = 0.0;
+  for (std::size_t r = 0; r < load.size(); ++r) {
+    if (!alive[r]) continue;
+    worst = std::max(worst,
+                     std::abs(static_cast<double>(load[r]) - mean) / mean);
+  }
+  return worst;
 }
 
 }  // namespace
@@ -95,23 +154,7 @@ std::size_t MappingState::cut_target() const {
 }
 
 double MappingState::imbalance() const {
-  std::uint64_t total = 0;
-  std::size_t alive = 0;
-  for (std::size_t r = 0; r < load_.size(); ++r) {
-    if (!client_alive_[r]) continue;
-    total += load_[r];
-    ++alive;
-  }
-  if (alive == 0 || total == 0) return 0.0;
-  const double mean =
-      static_cast<double>(total) / static_cast<double>(alive);
-  double worst = 0.0;
-  for (std::size_t r = 0; r < load_.size(); ++r) {
-    if (!client_alive_[r]) continue;
-    worst = std::max(worst,
-                     std::abs(static_cast<double>(load_[r]) - mean) / mean);
-  }
-  return worst;
+  return max_deviation(load_, client_alive_);
 }
 
 // ---------------------------------------------------------------------------
@@ -198,10 +241,9 @@ std::size_t MappingState::register_workload(const std::string& id,
 
   // Post the new chunks.  Global ids grow monotonically, so push_back
   // keeps every list ascending.
-  std::vector<std::uint32_t> rows;
-  rows.reserve(e.num_chunks);
-  for (std::uint32_t g = e.first_chunk; g < chunks_.size(); ++g) {
-    rows.push_back(g);
+  std::vector<std::uint32_t> rows(e.num_chunks);
+  std::iota(rows.begin(), rows.end(), e.first_chunk);
+  for (const std::uint32_t g : rows) {
     for (std::uint32_t bit : chunks_[g].tag.bits()) {
       postings_[e.tag_offset + bit].push_back(g);
     }
@@ -209,76 +251,51 @@ std::size_t MappingState::register_workload(const std::string& id,
 
   // Score only the arrival's rows and hook them into the standing
   // forest — the delta path's work is proportional to the arrival.
-  std::uint64_t scored = 0;
-  std::vector<ForestEdge> edges = score_rows(rows, pool, &scored);
-  if (stats != nullptr) stats->scored_pairs += scored;
-  hook_edges(std::move(edges), pool, stats);
-
+  const std::uint64_t scored = score_and_hook(rows, pool, stats);
   span.arg("new_chunks", static_cast<std::uint64_t>(e.num_chunks));
   span.arg("scored_pairs", scored);
-  span.end();
-  MLSC_COUNTER_ADD("pipeline.serve_scored_pairs", scored);
   return widx;
 }
 
-std::vector<ForestEdge> MappingState::score_rows(
-    const std::vector<std::uint32_t>& rows, ThreadPool* pool,
-    std::uint64_t* scored) const {
-  const std::size_t n = chunks_.size();
-  std::vector<std::vector<ForestEdge>> per_row(rows.size());
-  auto score_range = [&](std::size_t lo, std::size_t hi) {
-    thread_local std::vector<std::uint64_t> acc;
-    thread_local std::vector<std::uint32_t> touched;
-    if (acc.size() < n) acc.resize(n, 0);
-    for (std::size_t i = lo; i < hi; ++i) {
-      const std::uint32_t a = rows[i];
-      const std::uint64_t offset = entries_[chunk_owner_[a]].tag_offset;
-      touched.clear();
-      for (std::uint32_t bit : chunks_[a].tag.bits()) {
-        const auto it = postings_.find(offset + bit);
-        if (it == postings_.end()) continue;
-        for (const std::uint32_t b : it->second) {
-          if (b >= a) break;  // posting lists are id-ascending
-          if (acc[b] == 0) touched.push_back(b);
-          acc[b] += 1;
-        }
-      }
-      std::sort(touched.begin(), touched.end());
-      auto& out = per_row[i];
-      out.reserve(touched.size());
-      for (const std::uint32_t b : touched) {
-        out.push_back(ForestEdge{static_cast<double>(acc[b]), b, a});
-        acc[b] = 0;  // keep the scratch all-zero between rows
+std::uint64_t MappingState::score_and_hook(std::span<const std::uint32_t> rows,
+                                           ThreadPool* pool,
+                                           DeltaStats* stats) {
+  // The shared row kernel over the standing posting index: tag bits read
+  // as counts of 1, so every dot is the pair's shared-bit count.  The
+  // per-row lists go out of scope before the hook allocates.
+  std::vector<ForestEdge> edges;
+  {
+    const auto scored_rows = core::score_rows(
+        rows, chunks_.size(),
+        [&](std::uint32_t a, const auto& scan) {
+          const std::uint64_t offset = entries_[chunk_owner_[a]].tag_offset;
+          for (std::uint32_t bit : chunks_[a].tag.bits()) {
+            const auto it = postings_.find(offset + bit);
+            if (it != postings_.end()) scan(1, it->second);
+          }
+        },
+        pool);
+    std::size_t total = 0;
+    for (const auto& row : scored_rows) total += row.size();
+    edges.reserve(total);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      for (const core::PairDot& pd : scored_rows[i]) {
+        edges.push_back(
+            ForestEdge{static_cast<double>(pd.dot), pd.b, rows[i]});
       }
     }
-  };
-  if (pool != nullptr && pool->num_threads() > 1 && rows.size() >= 64) {
-    pool->parallel_for(0, rows.size(), pool->default_grain(rows.size()),
-                       score_range);
-  } else {
-    score_range(0, rows.size());
   }
-
-  std::size_t total = 0;
-  for (const auto& row : per_row) total += row.size();
-  if (scored != nullptr) *scored += total;
-  std::vector<ForestEdge> edges;
-  edges.reserve(total);
-  for (auto& row : per_row) {
-    edges.insert(edges.end(), row.begin(), row.end());
-  }
-  return edges;
-}
-
-void MappingState::hook_edges(std::vector<ForestEdge> edges,
-                              ThreadPool* pool, DeltaStats* stats) {
+  const std::uint64_t scored = edges.size();
   const std::size_t before = forest_.size();
   const std::size_t rounds =
       core::hook_forest(std::move(edges), parent_, forest_, pool);
   if (stats != nullptr) {
+    stats->scored_pairs += scored;
     stats->rounds += rounds;
     stats->forest_hooks += forest_.size() - before;
   }
+  MLSC_COUNTER_ADD("pipeline.serve_scored_pairs", scored);
+  return scored;
 }
 
 // ---------------------------------------------------------------------------
@@ -374,120 +391,74 @@ PatchPlan MappingState::build_patch(std::size_t widx) const {
   const std::uint32_t lo = e.first_chunk;
   const std::uint32_t hi = e.first_chunk + e.num_chunks;
 
+  // Chunks hooked onto a standing component append to the cluster
+  // holding the component's root (its smallest member — deterministic
+  // when the cut split the component across several clusters).  The
+  // purely-new components become nodes 0..k-1 in order of first sight,
+  // i.e. of smallest member, each with its iteration total and smallest
+  // order key.
   PatchPlan plan;
-  std::unordered_map<std::uint32_t, std::size_t> new_slot;   // root -> idx
   std::unordered_map<std::uint32_t, std::size_t> append_slot;  // cluster
+  std::unordered_map<std::uint32_t, std::uint32_t> node_of_root;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> fresh;  // chunk, node
+  std::vector<std::uint64_t> iterations;
+  std::vector<std::uint64_t> order_keys;
   for (std::uint32_t g = lo; g < hi; ++g) {
     const std::uint32_t root = core::uf_find(parent_, g);
     if (root < lo) {
-      // Hooked onto a standing component: append to the cluster holding
-      // the component's root (its smallest member — deterministic when
-      // the cut split the component across several clusters).
       const std::uint32_t cluster = cluster_of_chunk_[root];
       MLSC_CHECK(cluster != kUnplaced, "standing chunk without a cluster");
-      const auto it = append_slot.find(cluster);
-      std::size_t idx;
-      if (it == append_slot.end()) {
-        idx = plan.appends.size();
-        append_slot.emplace(cluster, idx);
-        plan.appends.push_back(PatchPlan::Append{cluster, {}, 0});
-      } else {
-        idx = it->second;
-      }
-      plan.appends[idx].members.push_back(g);
-      plan.appends[idx].iterations += chunks_[g].iterations;
-    } else {
-      const auto it = new_slot.find(root);
-      std::size_t idx;
-      if (it == new_slot.end()) {
-        idx = plan.new_clusters.size();
-        new_slot.emplace(root, idx);
-        plan.new_clusters.push_back(ServeCluster{});
-      } else {
-        idx = it->second;
-      }
-      plan.new_clusters[idx].members.push_back(g);
-      plan.new_clusters[idx].iterations += chunks_[g].iterations;
+      const auto [it, inserted] =
+          append_slot.try_emplace(cluster, plan.appends.size());
+      if (inserted) plan.appends.push_back(PatchPlan::Append{cluster, {}, 0});
+      plan.appends[it->second].members.push_back(g);
+      plan.appends[it->second].iterations += chunks_[g].iterations;
+      continue;
     }
+    const auto [it, inserted] = node_of_root.try_emplace(
+        root, static_cast<std::uint32_t>(iterations.size()));
+    if (inserted) {
+      iterations.push_back(0);
+      order_keys.push_back(UINT64_MAX);
+    }
+    iterations[it->second] += chunks_[g].iterations;
+    order_keys[it->second] =
+        std::min(order_keys[it->second], chunk_order_key(g));
+    fresh.emplace_back(g, it->second);
   }
   std::sort(plan.appends.begin(), plan.appends.end(),
             [](const PatchPlan::Append& x, const PatchPlan::Append& y) {
               return x.cluster < y.cluster;
             });
-  std::sort(plan.new_clusters.begin(), plan.new_clusters.end(),
-            [](const ServeCluster& x, const ServeCluster& y) {
-              return x.members.front() < y.members.front();
-            });
 
-  // More purely-new components than the instance asked clients for:
-  // merge rank-adjacent (order_key) smallest-combined-first, the offline
-  // cut's leftover rule.
-  if (plan.new_clusters.size() > e.requested_clients) {
-    struct Slot {
-      std::uint64_t order_key;
-      std::size_t idx;  // into plan.new_clusters
-    };
-    std::vector<Slot> slots;
-    slots.reserve(plan.new_clusters.size());
-    for (std::size_t i = 0; i < plan.new_clusters.size(); ++i) {
-      std::uint64_t key = UINT64_MAX;
-      for (const std::uint32_t m : plan.new_clusters[i].members) {
-        key = std::min(key, chunk_order_key(m));
-      }
-      slots.push_back(Slot{key, i});
+  // More purely-new components than the instance asked clients for: the
+  // offline cut's leftover rule, cut_forest over an empty forest (the
+  // identity union-find doubles as its node list 0..k-1).  An instance's
+  // chunk ids ascend in order key, so the rank order is the node order.
+  const std::size_t k = iterations.size();
+  std::vector<std::uint32_t> parent(k);
+  std::iota(parent.begin(), parent.end(), 0u);
+  if (k > e.requested_clients) {
+    MLSC_DCHECK(std::is_sorted(order_keys.begin(), order_keys.end()),
+                "instance chunk ids out of order-key order");
+    parent = core::cut_forest({}, parent, iterations, order_keys,
+                              e.requested_clients, options_.cut_balance_slack);
+  }
+
+  // Materialize by root (a group's smallest node, so its smallest chunk
+  // is seen first): clusters come out in order of smallest member, with
+  // members ascending.
+  std::vector<std::uint32_t> cluster_of_root(k, kUnplaced);
+  for (const auto& [g, node] : fresh) {
+    std::uint32_t& slot = cluster_of_root[core::uf_find(parent, node)];
+    if (slot == kUnplaced) {
+      slot = static_cast<std::uint32_t>(plan.new_clusters.size());
+      plan.new_clusters.emplace_back();
     }
-    std::sort(slots.begin(), slots.end(), [&](const Slot& x, const Slot& y) {
-      if (x.order_key != y.order_key) return x.order_key < y.order_key;
-      return plan.new_clusters[x.idx].members.front() <
-             plan.new_clusters[y.idx].members.front();
-    });
-    while (slots.size() > e.requested_clients) {
-      std::size_t pos = 0;
-      std::uint64_t best_size = UINT64_MAX;
-      for (std::size_t p = 0; p + 1 < slots.size(); ++p) {
-        const std::uint64_t combined =
-            plan.new_clusters[slots[p].idx].iterations +
-            plan.new_clusters[slots[p + 1].idx].iterations;
-        if (combined < best_size) {
-          best_size = combined;
-          pos = p;
-        }
-      }
-      ServeCluster& into = plan.new_clusters[slots[pos].idx];
-      ServeCluster& from = plan.new_clusters[slots[pos + 1].idx];
-      std::vector<std::uint32_t> merged;
-      merged.reserve(into.members.size() + from.members.size());
-      std::merge(into.members.begin(), into.members.end(),
-                 from.members.begin(), from.members.end(),
-                 std::back_inserter(merged));
-      into.members = std::move(merged);
-      into.iterations += from.iterations;
-      from.members.clear();
-      from.iterations = 0;
-      slots.erase(slots.begin() + pos + 1);
-    }
-    plan.new_clusters.erase(
-        std::remove_if(plan.new_clusters.begin(), plan.new_clusters.end(),
-                       [](const ServeCluster& c) {
-                         return c.members.empty();
-                       }),
-        plan.new_clusters.end());
+    plan.new_clusters[slot].members.push_back(g);
+    plan.new_clusters[slot].iterations += chunks_[g].iterations;
   }
   return plan;
-}
-
-void MappingState::place_cluster(std::uint32_t cluster_index) {
-  MLSC_CHECK(num_alive_clients() > 0, "no alive clients to place on");
-  std::size_t pick = static_cast<std::size_t>(-1);
-  for (std::size_t r = 0; r < load_.size(); ++r) {
-    if (!client_alive_[r]) continue;
-    if (pick == static_cast<std::size_t>(-1) || load_[r] < load_[pick]) {
-      pick = r;
-    }
-  }
-  ServeCluster& c = clusters_[cluster_index];
-  c.client = static_cast<std::uint32_t>(pick);
-  load_[pick] += c.iterations;
 }
 
 void MappingState::apply_patch(const PatchPlan& plan) {
@@ -503,70 +474,30 @@ void MappingState::apply_patch(const PatchPlan& plan) {
       cluster_of_chunk_[m] = ap.cluster;
     }
   }
-  // New clusters go in heaviest-first, each onto the least-loaded alive
-  // client (ties to the smaller rank).
-  std::vector<std::size_t> order(plan.new_clusters.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
-    if (plan.new_clusters[x].iterations != plan.new_clusters[y].iterations) {
-      return plan.new_clusters[x].iterations > plan.new_clusters[y].iterations;
-    }
-    return x < y;
-  });
-  for (const std::size_t i : order) {
-    clusters_.push_back(plan.new_clusters[i]);
-    const auto ci = static_cast<std::uint32_t>(clusters_.size() - 1);
-    clusters_.back().client = kUnplaced;
+  // New clusters join the table in placement order.
+  std::vector<std::uint64_t> sizes;
+  for (const ServeCluster& c : plan.new_clusters) sizes.push_back(c.iterations);
+  for (const Placement& p : place_heaviest_first(sizes, client_alive_, load_)) {
+    const auto ci = static_cast<std::uint32_t>(clusters_.size());
+    clusters_.push_back(plan.new_clusters[p.index]);
+    clusters_.back().client = p.client;
     for (const std::uint32_t m : clusters_.back().members) {
       cluster_of_chunk_[m] = ci;
     }
-    place_cluster(ci);
   }
 }
 
 double MappingState::simulate_patch(const PatchPlan& plan) const {
+  if (num_alive_clients() == 0) return 0.0;  // no load can deviate
   std::vector<std::uint64_t> loads = load_;
   for (const PatchPlan::Append& ap : plan.appends) {
     const ServeCluster& c = clusters_[ap.cluster];
     if (c.client != kUnplaced) loads[c.client] += ap.iterations;
   }
-  std::vector<std::size_t> order(plan.new_clusters.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
-    if (plan.new_clusters[x].iterations != plan.new_clusters[y].iterations) {
-      return plan.new_clusters[x].iterations > plan.new_clusters[y].iterations;
-    }
-    return x < y;
-  });
-  for (const std::size_t i : order) {
-    std::size_t pick = static_cast<std::size_t>(-1);
-    for (std::size_t r = 0; r < loads.size(); ++r) {
-      if (!client_alive_[r]) continue;
-      if (pick == static_cast<std::size_t>(-1) || loads[r] < loads[pick]) {
-        pick = r;
-      }
-    }
-    if (pick == static_cast<std::size_t>(-1)) break;
-    loads[pick] += plan.new_clusters[i].iterations;
-  }
-
-  std::uint64_t total = 0;
-  std::size_t alive = 0;
-  for (std::size_t r = 0; r < loads.size(); ++r) {
-    if (!client_alive_[r]) continue;
-    total += loads[r];
-    ++alive;
-  }
-  if (alive == 0 || total == 0) return 0.0;
-  const double mean =
-      static_cast<double>(total) / static_cast<double>(alive);
-  double worst = 0.0;
-  for (std::size_t r = 0; r < loads.size(); ++r) {
-    if (!client_alive_[r]) continue;
-    worst = std::max(worst,
-                     std::abs(static_cast<double>(loads[r]) - mean) / mean);
-  }
-  return worst;
+  std::vector<std::uint64_t> sizes;
+  for (const ServeCluster& c : plan.new_clusters) sizes.push_back(c.iterations);
+  place_heaviest_first(sizes, client_alive_, loads);
+  return max_deviation(loads, client_alive_);
 }
 
 // ---------------------------------------------------------------------------
@@ -617,16 +548,10 @@ void MappingState::recut_all() {
              "recut produced " << clusters_.size() << " clusters, wanted "
                                << target);
 
-  std::vector<std::size_t> order(clusters_.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
-    if (clusters_[x].iterations != clusters_[y].iterations) {
-      return clusters_[x].iterations > clusters_[y].iterations;
-    }
-    return x < y;
-  });
-  for (const std::size_t i : order) {
-    place_cluster(static_cast<std::uint32_t>(i));
+  std::vector<std::uint64_t> sizes;
+  for (const ServeCluster& c : clusters_) sizes.push_back(c.iterations);
+  for (const Placement& p : place_heaviest_first(sizes, client_alive_, load_)) {
+    clusters_[p.index].client = p.client;
   }
   span.arg("clusters", static_cast<std::uint64_t>(clusters_.size()));
   span.end();
@@ -641,14 +566,10 @@ void MappingState::rebuild_all(ThreadPool* pool, DeltaStats* stats) {
   for (std::uint32_t g = 0; g < chunks_.size(); ++g) {
     if (chunk_live(g)) rows.push_back(g);
   }
-  std::uint64_t scored = 0;
-  std::vector<ForestEdge> edges = score_rows(rows, pool, &scored);
-  if (stats != nullptr) stats->scored_pairs += scored;
-  hook_edges(std::move(edges), pool, stats);
+  const std::uint64_t scored = score_and_hook(rows, pool, stats);
   span.arg("rows", static_cast<std::uint64_t>(rows.size()));
   span.arg("scored_pairs", scored);
   span.end();
-  MLSC_COUNTER_ADD("pipeline.serve_scored_pairs", scored);
   recut_all();
 }
 
@@ -671,6 +592,7 @@ void MappingState::apply_faults(const resilience::FaultSchedule& schedule) {
 
 std::size_t MappingState::replace_orphans() {
   std::vector<std::uint32_t> orphans;
+  std::vector<std::uint64_t> sizes;
   for (std::uint32_t c = 0; c < clusters_.size(); ++c) {
     const std::uint32_t client = clusters_[c].client;
     if (client != kUnplaced && !client_alive_[client]) {
@@ -679,16 +601,12 @@ std::size_t MappingState::replace_orphans() {
       load_[client] -= clusters_[c].iterations;
       clusters_[c].client = kUnplaced;
       orphans.push_back(c);
+      sizes.push_back(clusters_[c].iterations);
     }
   }
-  std::sort(orphans.begin(), orphans.end(),
-            [&](std::uint32_t x, std::uint32_t y) {
-              if (clusters_[x].iterations != clusters_[y].iterations) {
-                return clusters_[x].iterations > clusters_[y].iterations;
-              }
-              return x < y;
-            });
-  for (const std::uint32_t c : orphans) place_cluster(c);
+  for (const Placement& p : place_heaviest_first(sizes, client_alive_, load_)) {
+    clusters_[orphans[p.index]].client = p.client;
+  }
   return orphans.size();
 }
 

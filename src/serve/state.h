@@ -21,9 +21,18 @@
 // forest from the posting index from scratch — deterministically
 // identical to registering the same live set into a fresh state, which
 // is the oracle the tests pin.
+//
+// The state runs the offline kernels, not copies of them: rows are
+// scored by core::score_rows over the posting index (tag bits as counts
+// of 1), the forest is hooked and cut by core/affinity_forest — the
+// patch's leftover components too, by cut_forest over an empty forest —
+// and every placement and imbalance figure comes from one heaviest-
+// first, least-loaded-alive-client rule and one max-relative-deviation
+// formula.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -143,8 +152,9 @@ class MappingState {
   void set_baseline(std::size_t widx, const cache::CacheStats& l2);
 
   /// The patch for the newest registration of `widx`: new clusters for
-  /// purely-new forest components, appends for components hooked onto
-  /// standing clusters.
+  /// purely-new forest components (merged by cut_forest's leftover rule
+  /// down to the instance's requested clients), appends for components
+  /// hooked onto standing clusters.
   PatchPlan build_patch(std::size_t widx) const;
   /// Commits the plan: appends update placed loads in place; new
   /// clusters are placed least-loaded-first.
@@ -221,14 +231,12 @@ class MappingState {
   };
 
   std::uint64_t chunk_order_key(std::uint32_t chunk) const;
-  /// Scores each listed chunk row against the posting index (candidates
-  /// strictly below the row id, same slot scheme as the offline kernel).
-  std::vector<core::ForestEdge> score_rows(
-      const std::vector<std::uint32_t>& rows, ThreadPool* pool,
-      std::uint64_t* scored) const;
-  void hook_edges(std::vector<core::ForestEdge> edges, ThreadPool* pool,
-                  DeltaStats* stats);
-  void place_cluster(std::uint32_t cluster_index);
+  /// Scores the listed chunk rows against the posting index with the
+  /// shared row kernel (core::score_rows), hooks the edges into the
+  /// standing forest and books both into `stats`; returns the pairs
+  /// scored.
+  std::uint64_t score_and_hook(std::span<const std::uint32_t> rows,
+                               ThreadPool* pool, DeltaStats* stats);
   bool chunk_live(std::uint32_t chunk) const;
   void rebuild_parent_from_forest();
 

@@ -1,23 +1,28 @@
 // Tests for the online mapping service: event-stream parsing (round
 // trips, journal decoration, stream-level validation), the remap
 // cost/benefit policy, incremental MappingState operations (register /
-// patch / depart / scale / fault), the two acceptance oracles — journal
-// determinism across thread counts and forced-full == from-scratch —
-// and the run-record snapshot surface.
+// patch / depart / scale / fault), brute-force oracles for the scored
+// pair count and the patch's leftover merge, the two acceptance oracles
+// — journal determinism across thread counts and forced-full ==
+// from-scratch — and the run-record snapshot surface.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/clustering.h"
 #include "serve/event.h"
 #include "serve/policy.h"
 #include "serve/service.h"
 #include "serve/state.h"
 #include "support/check.h"
 #include "support/json.h"
+#include "support/thread_pool.h"
 
 namespace mlsc::serve {
 namespace {
@@ -304,6 +309,163 @@ TEST(MappingState, ScaleChangesCutTarget) {
   state.recut_all();
   state.check_invariants();
   EXPECT_EQ(state.clusters().size(), state.cut_target());
+}
+
+/// The entry owning global chunk `g`.
+const WorkloadEntry& owner_of(const MappingState& state, std::uint32_t g) {
+  for (const WorkloadEntry& e : state.entries()) {
+    if (g >= e.first_chunk && g < e.first_chunk + e.num_chunks) return e;
+  }
+  ADD_FAILURE() << "chunk " << g << " has no owner";
+  return state.entries().front();
+}
+
+/// Brute force over the scorer's contract: rows a in [lo, hi), partners
+/// b < a, both live, same data key, at least one shared tag bit.
+std::uint64_t brute_scored_pairs(const MappingState& state, std::uint32_t lo,
+                                 std::uint32_t hi) {
+  std::uint64_t pairs = 0;
+  for (std::uint32_t a = lo; a < hi; ++a) {
+    const WorkloadEntry& ea = owner_of(state, a);
+    if (!ea.live) continue;
+    for (std::uint32_t b = 0; b < a; ++b) {
+      const WorkloadEntry& eb = owner_of(state, b);
+      if (!eb.live || eb.name != ea.name ||
+          eb.size_factor != ea.size_factor) {
+        continue;
+      }
+      if (state.chunks()[a].tag.common_bits(state.chunks()[b].tag) > 0) {
+        ++pairs;
+      }
+    }
+  }
+  return pairs;
+}
+
+TEST(MappingState, ScoredPairsMatchBruteForce) {
+  // 128 chunks per instance: the rebuild's live rows outnumber the
+  // scorer's serial cutoff, so the pool fans them out.
+  ServeStateOptions options;
+  options.tagging.max_iteration_chunks = 128;
+  MappingState state(tiny_machine(), options);
+  ThreadPool pool(3);
+  auto check_register = [&](const std::string& id, const std::string& name) {
+    DeltaStats stats;
+    const std::size_t w =
+        state.register_workload(id, name, 1.0 / 16.0, 2, &pool, &stats);
+    const WorkloadEntry& e = state.entries()[w];
+    EXPECT_EQ(stats.scored_pairs,
+              brute_scored_pairs(state, e.first_chunk,
+                                 e.first_chunk + e.num_chunks))
+        << "register " << id;
+    state.apply_patch(state.build_patch(w));
+    return w;
+  };
+  check_register("a", "astro");
+  const std::size_t b = check_register("b", "hf");
+  state.depart_workload(b);  // leaves a hole in the global ids
+  check_register("c", "astro");  // same data key as a: cross-instance pairs
+  check_register("d", "hf");
+  state.check_invariants();
+
+  ASSERT_GE(state.standing_chunks(), 256u);
+  const auto n = static_cast<std::uint32_t>(state.chunks().size());
+  const std::uint64_t expected = brute_scored_pairs(state, 0, n);
+  EXPECT_GT(expected, 0u);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    DeltaStats stats;
+    state.rebuild_all(p, &stats);
+    EXPECT_EQ(stats.scored_pairs, expected);
+    state.check_invariants();
+  }
+}
+
+TEST(MappingState, LeftoverMergeMatchesNaiveReference) {
+  // madbench2's chunks fall into many sharing-free components, more than
+  // the three clients asked for, so the patch must merge leftovers.
+  ServeStateOptions options;
+  options.tagging.max_iteration_chunks = 64;
+  MappingState state(tiny_machine(), options);
+  DeltaStats stats;
+  const std::uint32_t clients = 3;
+  const std::size_t w = state.register_workload("a", "madbench2", 1.0 / 16.0,
+                                                clients, nullptr, &stats);
+  const PatchPlan plan = state.build_patch(w);
+
+  // Reference: connected components of the shared-bit graph, in order of
+  // their smallest member...
+  const auto& chunks = state.chunks();
+  const auto n = static_cast<std::uint32_t>(chunks.size());
+  std::vector<std::uint32_t> parent(n);
+  std::iota(parent.begin(), parent.end(), 0u);
+  for (std::uint32_t a = 0; a < n; ++a) {
+    for (std::uint32_t b = 0; b < a; ++b) {
+      if (chunks[a].tag.common_bits(chunks[b].tag) > 0) {
+        core::uf_union(parent, a, b);
+      }
+    }
+  }
+  struct Comp {
+    std::vector<std::uint32_t> members;
+    std::uint64_t iterations = 0;
+    std::uint64_t order_key = UINT64_MAX;
+  };
+  std::vector<Comp> comps;
+  std::vector<std::size_t> slot(n);
+  for (std::uint32_t g = 0; g < n; ++g) {
+    const std::uint32_t root = core::uf_find(parent, g);
+    if (root == g) {
+      slot[g] = comps.size();
+      comps.emplace_back();
+    }
+    Comp& c = comps[slot[root]];
+    c.members.push_back(g);
+    c.iterations += chunks[g].iterations;
+    c.order_key =
+        std::min(c.order_key, core::Cluster::make_order_key(chunks[g]));
+  }
+  ASSERT_GT(comps.size(), clients) << "the leftover merge must run";
+
+  // ...then merged rank-adjacent (order key, then smallest member),
+  // smallest combined total first, leftmost on ties; a merged component
+  // keeps the place of its left partner.
+  std::vector<std::size_t> rank(comps.size());
+  std::iota(rank.begin(), rank.end(), std::size_t{0});
+  std::sort(rank.begin(), rank.end(), [&](std::size_t x, std::size_t y) {
+    if (comps[x].order_key != comps[y].order_key) {
+      return comps[x].order_key < comps[y].order_key;
+    }
+    return comps[x].members.front() < comps[y].members.front();
+  });
+  while (rank.size() > clients) {
+    std::size_t pos = 0;
+    for (std::size_t p = 1; p + 1 < rank.size(); ++p) {
+      if (comps[rank[p]].iterations + comps[rank[p + 1]].iterations <
+          comps[rank[pos]].iterations + comps[rank[pos + 1]].iterations) {
+        pos = p;
+      }
+    }
+    Comp& into = comps[rank[pos]];
+    Comp& from = comps[rank[pos + 1]];
+    into.members.insert(into.members.end(), from.members.begin(),
+                        from.members.end());
+    std::sort(into.members.begin(), into.members.end());
+    into.iterations += from.iterations;
+    from.members.clear();
+    rank.erase(rank.begin() + static_cast<std::ptrdiff_t>(pos) + 1);
+  }
+  comps.erase(std::remove_if(comps.begin(), comps.end(),
+                             [](const Comp& c) { return c.members.empty(); }),
+              comps.end());
+
+  EXPECT_TRUE(plan.appends.empty());
+  ASSERT_EQ(plan.new_clusters.size(), comps.size());
+  for (std::size_t i = 0; i < comps.size(); ++i) {
+    EXPECT_EQ(plan.new_clusters[i].members, comps[i].members)
+        << "cluster " << i;
+    EXPECT_EQ(plan.new_clusters[i].iterations, comps[i].iterations);
+    EXPECT_EQ(plan.new_clusters[i].client, kUnplaced);
+  }
 }
 
 TEST(MappingState, FailStopKillsClientAndOrphansMove) {
