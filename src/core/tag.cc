@@ -56,11 +56,6 @@ std::size_t ChunkTag::common_bits(const ChunkTag& other) const {
   return count;
 }
 
-std::size_t ChunkTag::hamming_distance(const ChunkTag& other) const {
-  const std::size_t common = common_bits(other);
-  return (bits_.size() - common) + (other.bits_.size() - common);
-}
-
 ChunkTag ChunkTag::merged_with(const ChunkTag& other) const {
   std::vector<std::uint32_t> merged;
   merged.reserve(bits_.size() + other.bits_.size());

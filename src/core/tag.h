@@ -39,10 +39,6 @@ class ChunkTag {
   /// product used by the scheduler.
   std::size_t common_bits(const ChunkTag& other) const;
 
-  /// Number of differing positions.  Zero shared bits means the chunks
-  /// share no data; small Hamming distance means similar access patterns.
-  std::size_t hamming_distance(const ChunkTag& other) const;
-
   /// Union of the two tags (used when coarsening the chunk table).
   ChunkTag merged_with(const ChunkTag& other) const;
 

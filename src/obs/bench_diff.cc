@@ -361,8 +361,12 @@ DiffResult diff_run_records(const JsonValue& baseline,
     }
 
     d.rel_delta = (d.current - d.baseline) / std::fabs(d.baseline);
+    // Timing metrics regress in one direction only: up for times, down
+    // for speedups.
+    const bool speedup = lowercase(b.name).find("speedup") != std::string::npos;
+    const double worsening = speedup ? -d.rel_delta : d.rel_delta;
     const double magnitude = b.noise == MetricNoise::kTiming
-                                 ? d.rel_delta  // only increases regress
+                                 ? worsening
                                  : std::fabs(d.rel_delta);
     // Guarded deterministic metrics (reduction_ratio) have no soft
     // band: the pruning guarantees are exact, so any breach is hard.
@@ -376,7 +380,7 @@ DiffResult diff_run_records(const JsonValue& baseline,
       d.verdict = Verdict::kSoftRegression;
       ++result.soft_regressions;
     } else if (b.noise == MetricNoise::kTiming &&
-               d.rel_delta < -d.threshold) {
+               worsening < -d.threshold) {
       d.verdict = Verdict::kImproved;
       ++result.improvements;
     } else {

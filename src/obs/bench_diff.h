@@ -10,7 +10,8 @@
 //     simulator is deterministic, so any drift means behaviour changed
 //     and the baseline must be regenerated deliberately.
 //   - *Timing* metrics (names carrying _ms/_ns/time/latency/...) are
-//     real wall-clock measurements: only increases count, the threshold
+//     real wall-clock measurements: only a worsening counts (an
+//     increase, or a decrease for a *speedup* column), the threshold
 //     is loose, and it widens by a repetition-aware noise margin of
 //     (1 + 1/sqrt(repetitions)) — single-shot runs get twice the slack
 //     of a well-repeated one.

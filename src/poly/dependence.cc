@@ -153,45 +153,4 @@ std::vector<Dependence> find_dependences(const LoopNest& nest) {
   return deps;
 }
 
-bool is_parallel_loop(const std::vector<Dependence>& deps, std::size_t level) {
-  for (const auto& dep : deps) {
-    MLSC_CHECK(level < dep.distance.size(), "loop level out of range");
-    const auto& d = dep.distance[level];
-    if (!d.has_value() || *d != 0) {
-      // This loop carries the dependence unless an outer loop already
-      // carries it (then iterations of this loop within one outer
-      // iteration are independent for this dependence).
-      const auto carried = dep.carried_level();
-      if (carried.has_value() && *carried == level) return false;
-    }
-  }
-  return true;
-}
-
-std::optional<std::size_t> default_parallel_loop(
-    const LoopNest& nest, const std::vector<Dependence>& deps) {
-  for (std::size_t level = 0; level < nest.depth(); ++level) {
-    if (is_parallel_loop(deps, level)) return level;
-  }
-  return std::nullopt;
-}
-
-std::vector<std::size_t> dependence_sinking_permutation(
-    const LoopNest& nest, const std::vector<Dependence>& deps) {
-  std::vector<bool> carries(nest.depth(), false);
-  for (const auto& dep : deps) {
-    const auto level = dep.carried_level();
-    if (level.has_value()) carries[*level] = true;
-  }
-  std::vector<std::size_t> perm;
-  perm.reserve(nest.depth());
-  for (std::size_t k = 0; k < nest.depth(); ++k) {
-    if (!carries[k]) perm.push_back(k);
-  }
-  for (std::size_t k = 0; k < nest.depth(); ++k) {
-    if (carries[k]) perm.push_back(k);
-  }
-  return perm;
-}
-
 }  // namespace mlsc::poly

@@ -39,18 +39,4 @@ struct Dependence {
 /// unknown ("*") distances when the test cannot disprove them.
 std::vector<Dependence> find_dependences(const LoopNest& nest);
 
-/// True when loop `level` carries none of the dependences.
-bool is_parallel_loop(const std::vector<Dependence>& deps, std::size_t level);
-
-/// The paper's default parallelization: the outermost loop that carries
-/// no dependence, or nullopt when every loop carries one.
-std::optional<std::size_t> default_parallel_loop(
-    const LoopNest& nest, const std::vector<Dependence>& deps);
-
-/// A permutation (outer to inner, in original loop indices) that sinks
-/// all dependence-carrying loops to the innermost positions, preserving
-/// the original relative order within each class.
-std::vector<std::size_t> dependence_sinking_permutation(
-    const LoopNest& nest, const std::vector<Dependence>& deps);
-
 }  // namespace mlsc::poly

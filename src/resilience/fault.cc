@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string_view>
 
@@ -257,24 +258,6 @@ void FaultSchedule::add(FaultEvent event) {
   events.insert(pos, event);
 }
 
-std::vector<FaultEvent> FaultSchedule::unrecovered_fail_stops() const {
-  std::vector<FaultEvent> active;
-  for (const FaultEvent& event : events) {
-    if (event.kind == FaultKind::kFailStop) {
-      active.push_back(event);
-    } else if (event.kind == FaultKind::kRecover) {
-      // A recover heals fail-stops of the same level when either side
-      // targets the whole level or the node indices match.
-      std::erase_if(active, [&](const FaultEvent& failed) {
-        return failed.level == event.level &&
-               (event.node_index < 0 || failed.node_index < 0 ||
-                failed.node_index == event.node_index);
-      });
-    }
-  }
-  return active;
-}
-
 std::string FaultSchedule::to_string() const {
   if (events.empty()) return "none";
   std::vector<std::string> parts;
@@ -442,6 +425,8 @@ FaultInjector::FaultInjector(FaultSchedule schedule, RetryPolicy retry,
       retry_(retry),
       tree_(tree),
       latency_factor_(tree.num_nodes(), 1.0),
+      failed_(tree.num_nodes(), 0),
+      capacity_divisor_(tree.num_nodes(), 1.0),
       stall_charged_(tree.num_clients(), 0) {
   MLSC_CHECK(tree_.finalized(), "FaultInjector needs a finalized tree");
   std::stable_sort(
@@ -496,7 +481,9 @@ void FaultInjector::apply(const FaultEvent& event,
   switch (event.kind) {
     case FaultKind::kFailStop:
       for (const NodeId id : targets(event)) {
+        failed_[id] = 1;
         latency_factor_[id] = 1.0;
+        capacity_divisor_[id] = 1.0;
         if (cache != nullptr) cache->set_node_failed(id, true);
         description << ' ' << tree_.node(id).name;
       }
@@ -504,6 +491,7 @@ void FaultInjector::apply(const FaultEvent& event,
     case FaultKind::kDegrade:
       for (const NodeId id : targets(event)) {
         latency_factor_[id] = event.latency_factor;
+        capacity_divisor_[id] = event.capacity_divisor;
         if (cache != nullptr) {
           cache->set_node_capacity_divisor(id, event.capacity_divisor);
         }
@@ -514,7 +502,9 @@ void FaultInjector::apply(const FaultEvent& event,
       break;
     case FaultKind::kRecover:
       for (const NodeId id : targets(event)) {
+        failed_[id] = 0;
         latency_factor_[id] = 1.0;
+        capacity_divisor_[id] = 1.0;
         if (cache != nullptr) {
           cache->set_node_failed(id, false);
           cache->set_node_capacity_divisor(id, 1.0);
@@ -556,6 +546,13 @@ bool FaultInjector::draw_error(std::uint64_t client, std::uint64_t op,
   h = mix64(h ^ attempt);
   const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
   return u < rate;
+}
+
+FaultInjector fault_end_state(FaultSchedule schedule,
+                              const topology::HierarchyTree& tree) {
+  FaultInjector injector(std::move(schedule), RetryPolicy{}, tree);
+  injector.advance_to(std::numeric_limits<Nanoseconds>::max(), nullptr);
+  return injector;
 }
 
 }  // namespace mlsc::resilience

@@ -71,11 +71,6 @@ struct FaultSchedule {
 
   bool empty() const { return events.empty(); }
 
-  /// Events of `kind` that are still in effect at the end of the
-  /// schedule (e.g. fail-stops without a later recover of the same
-  /// target).
-  std::vector<FaultEvent> unrecovered_fail_stops() const;
-
   /// Appends an event keeping the sort order.
   void add(FaultEvent event);
 
@@ -122,9 +117,12 @@ struct AppliedFault {
   std::string description;  // e.g. "fail-stop io[0]"
 };
 
-/// Replay-time fault state.  The engine calls advance_to() with the
-/// globally earliest client clock before executing an iteration; events
-/// whose timestamp has passed flip node state on the cache hierarchy.
+/// Replay-time fault state, and the one interpretation of a fault event:
+/// every other consumer reads what a schedule leaves behind from an
+/// injector (see fault_end_state).  The engine calls advance_to() with
+/// the globally earliest client clock before executing an iteration;
+/// events whose timestamp has passed flip node state on the cache
+/// hierarchy.
 class FaultInjector {
  public:
   FaultInjector(FaultSchedule schedule, RetryPolicy retry,
@@ -142,6 +140,14 @@ class FaultInjector {
   /// healthy).
   double latency_factor(topology::NodeId node) const {
     return latency_factor_[node];
+  }
+  /// True while `node` is fail-stopped (a fail-stop sets it, only a
+  /// recover clears it; a degrade of a failed node leaves it failed).
+  bool failed(topology::NodeId node) const { return failed_[node] != 0; }
+  /// Capacity divisor of `node`'s cache (1.0 when healthy; a fail-stop
+  /// or recover resets it).
+  double capacity_divisor(topology::NodeId node) const {
+    return capacity_divisor_[node];
   }
 
   double disk_error_rate() const { return disk_error_rate_; }
@@ -168,7 +174,9 @@ class FaultInjector {
   const topology::HierarchyTree& tree_;
   std::size_t next_event_ = 0;
 
-  std::vector<double> latency_factor_;  // by node id
+  std::vector<double> latency_factor_;    // by node id
+  std::vector<char> failed_;              // by node id
+  std::vector<double> capacity_divisor_;  // by node id
   double disk_error_rate_ = 0.0;
   double net_error_rate_ = 0.0;
 
@@ -177,5 +185,11 @@ class FaultInjector {
 
   std::vector<AppliedFault> applied_;
 };
+
+/// What `schedule` leaves `tree` in: an injector advanced past the
+/// schedule's last event with no cache attached.  Throws Error when an
+/// event names a node the tree lacks.
+FaultInjector fault_end_state(FaultSchedule schedule,
+                              const topology::HierarchyTree& tree);
 
 }  // namespace mlsc::resilience

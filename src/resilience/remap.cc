@@ -1,5 +1,6 @@
 #include "resilience/remap.h"
 
+#include <algorithm>
 #include <map>
 #include <sstream>
 #include <utility>
@@ -9,11 +10,18 @@
 namespace mlsc::resilience {
 
 RemapDecision decide_remap(const RemapPolicy& policy,
-                           const FaultSchedule& schedule) {
+                           const FaultSchedule& schedule,
+                           const topology::HierarchyTree& tree) {
   RemapDecision decision;
   if (!policy.remap_on_failure) return decision;
+  const FaultInjector end = fault_end_state(schedule, tree);
   for (const FaultEvent& event : schedule.events) {
     if (event.kind != FaultKind::kFailStop) continue;
+    const auto targets = resolve_fault_targets(tree, event);
+    if (std::none_of(targets.begin(), targets.end(),
+                     [&](topology::NodeId id) { return end.failed(id); })) {
+      continue;  // recovered before the schedule ends
+    }
     decision.triggered = true;
     decision.at = event.at;
     std::ostringstream reason;
@@ -38,11 +46,10 @@ bool drift_exceeded(const RemapPolicy& policy,
 
 topology::HierarchyTree surviving_topology(
     const topology::HierarchyTree& tree, const FaultSchedule& schedule) {
+  const FaultInjector end = fault_end_state(schedule, tree);
   topology::HierarchyTree surviving = tree;
-  for (const FaultEvent& failed : schedule.unrecovered_fail_stops()) {
-    for (const topology::NodeId id : resolve_fault_targets(tree, failed)) {
-      surviving.set_cache_capacity(id, 0);
-    }
+  for (topology::NodeId id = 0; id < tree.num_nodes(); ++id) {
+    if (end.failed(id)) surviving.set_cache_capacity(id, 0);
   }
   return surviving;
 }
@@ -50,26 +57,18 @@ topology::HierarchyTree surviving_topology(
 namespace {
 
 /// Client ranks whose path to the root crosses a node the schedule
-/// fail-stops and never recovers: every access they make pays failover
-/// detection and loses the dead cache's locality, so the remap moves
-/// their work to clients whose paths are fully healthy.
+/// leaves failed: every access they make pays failover detection and
+/// loses the dead cache's locality, so the remap moves their work to
+/// clients whose paths are fully healthy.
 std::vector<bool> affected_clients(const topology::HierarchyTree& tree,
                                    const FaultSchedule& schedule) {
-  std::vector<char> failed(tree.num_nodes(), 0);
-  for (const FaultEvent& event : schedule.unrecovered_fail_stops()) {
-    for (const topology::NodeId id : resolve_fault_targets(tree, event)) {
-      failed[id] = 1;
-    }
-  }
+  const FaultInjector end = fault_end_state(schedule, tree);
   std::vector<bool> affected(tree.num_clients(), false);
   for (std::size_t rank = 0; rank < tree.num_clients(); ++rank) {
-    for (const topology::NodeId node :
-         tree.path_to_root(tree.clients()[rank])) {
-      if (failed[node] != 0) {
-        affected[rank] = true;
-        break;
-      }
-    }
+    const auto path = tree.path_to_root(tree.clients()[rank]);
+    affected[rank] =
+        std::any_of(path.begin(), path.end(),
+                    [&](topology::NodeId id) { return end.failed(id); });
   }
   return affected;
 }

@@ -43,11 +43,14 @@ struct RemapDecision {
   std::string reason;
 };
 
-/// Evaluates the policy against a fault schedule: the earliest fail-stop
-/// of a cache-carrying node triggers the remap.  (Drift-based triggers
-/// are evaluated separately against observed stats.)
+/// Evaluates the policy against a fault schedule on `tree`: the remap
+/// triggers at the earliest fail-stop that names a node still failed at
+/// the schedule's end (fault_end_state); a fail-stop that is later
+/// recovered triggers nothing.  (Drift-based triggers are evaluated
+/// separately against observed stats.)
 RemapDecision decide_remap(const RemapPolicy& policy,
-                           const FaultSchedule& schedule);
+                           const FaultSchedule& schedule,
+                           const topology::HierarchyTree& tree);
 
 /// Miss-rate drift trigger: true when `observed`'s miss rate exceeds
 /// `baseline`'s by more than the policy threshold (absolute).
@@ -55,8 +58,8 @@ bool drift_exceeded(const RemapPolicy& policy,
                     const cache::CacheStats& baseline,
                     const cache::CacheStats& observed);
 
-/// A copy of `tree` on which every node fail-stopped (and not later
-/// recovered) by the schedule carries no cache, so the mapping pipeline
+/// A copy of `tree` on which every node the schedule leaves failed
+/// (fault_end_state) carries no cache, so the mapping pipeline
 /// places affinity only at surviving caches.  Node ids, client ranks and
 /// the tree shape are unchanged — mappings computed on the copy replay
 /// directly against the original machine.
@@ -64,10 +67,10 @@ topology::HierarchyTree surviving_topology(
     const topology::HierarchyTree& tree, const FaultSchedule& schedule);
 
 /// Re-runs the full mapping pipeline over the surviving topology, then
-/// moves the work of every client whose root path crosses an unrecovered
-/// fail-stop onto the healthy clients (least-loaded first, ties by rank,
-/// deterministically), so no work is left paying failover detection on
-/// every access.  When every client is affected (a whole-level
+/// moves the work of every client whose root path crosses a node the
+/// schedule leaves failed onto the healthy clients (least-loaded first,
+/// ties by rank, deterministically), so no work is left paying failover
+/// detection on every access.  When every client is affected (a whole-level
 /// fail-stop) the mapping is returned unredistributed.  `surviving` must
 /// outlive the returned mapping's use (the pipeline holds a reference
 /// during the run only).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <numeric>
 #include <sstream>
 
@@ -577,17 +576,34 @@ void MappingState::rebuild_all(ThreadPool* pool, DeltaStats* stats) {
 // Faults
 
 void MappingState::apply_faults(const resilience::FaultSchedule& schedule) {
-  for (const resilience::FaultEvent& ev : schedule.events) faults_.add(ev);
-  if (schedule.seed != 0) faults_.seed = schedule.seed;
-
-  std::vector<bool> alive(tree_.num_clients(), true);
-  for (const resilience::FaultEvent& ev : faults_.unrecovered_fail_stops()) {
-    if (ev.level != 1) continue;  // only compute-level kills a client
-    for (const topology::NodeId node : resolve_fault_targets(tree_, ev)) {
-      alive[tree_.client_rank(node)] = false;
+  // Check the whole batch against the merged history before anything is
+  // committed: a fail-stop or degrade of an absent node, or a batch that
+  // leaves no alive client, is rejected and changes nothing.
+  resilience::FaultSchedule merged = faults_;
+  for (const resilience::FaultEvent& ev : schedule.events) {
+    if (ev.kind == resilience::FaultKind::kRecover) {
+      // A recover of a node the machine lacks heals nothing: not merged.
+      try {
+        resolve_fault_targets(tree_, ev);
+      } catch (const Error&) {
+        continue;
+      }
     }
+    merged.add(ev);
   }
-  client_alive_ = alive;
+  if (schedule.seed != 0) merged.seed = schedule.seed;
+
+  const resilience::FaultInjector end =
+      resilience::fault_end_state(merged, tree_);
+  std::vector<bool> alive(tree_.num_clients());
+  for (std::size_t rank = 0; rank < alive.size(); ++rank) {
+    alive[rank] = !end.failed(tree_.clients()[rank]);
+  }
+  if (std::none_of(alive.begin(), alive.end(), [](bool a) { return a; })) {
+    throw Error("fault leaves no alive client to place on");
+  }
+  faults_ = std::move(merged);
+  client_alive_ = std::move(alive);
 }
 
 std::size_t MappingState::replace_orphans() {
@@ -611,83 +627,37 @@ std::size_t MappingState::replace_orphans() {
 }
 
 resilience::FaultSchedule MappingState::effective_faults() const {
-  // Squash the cumulative history to what is in effect *now*: per-target
-  // last state wins, surviving events re-stamped at t=0 so a drift
-  // replay starts under today's conditions.
-  struct TargetState {
-    int mode = 0;  // 0 healthy, 1 failed, 2 degraded
-    double latency_factor = 1.0;
-    double capacity_divisor = 1.0;
-  };
-  std::map<std::pair<std::uint32_t, std::uint32_t>, TargetState> targets;
-  double disk_rate = 0.0;
-  double net_rate = 0.0;
-  const auto level_width = [&](std::uint32_t level) -> std::uint32_t {
-    switch (level) {
-      case 1:
-        return static_cast<std::uint32_t>(machine_.clients);
-      case 2:
-        return static_cast<std::uint32_t>(machine_.io_nodes);
-      case 3:
-        return static_cast<std::uint32_t>(machine_.storage_nodes);
-      default:
-        return 0;
-    }
-  };
-  for (const resilience::FaultEvent& ev : faults_.events) {
-    switch (ev.kind) {
-      case resilience::FaultKind::kFailStop:
-      case resilience::FaultKind::kDegrade:
-      case resilience::FaultKind::kRecover: {
-        const std::uint32_t width = level_width(ev.level);
-        const std::uint32_t first =
-            ev.node_index < 0 ? 0 : static_cast<std::uint32_t>(ev.node_index);
-        const std::uint32_t last =
-            ev.node_index < 0 ? width : first + 1;
-        for (std::uint32_t idx = first; idx < last && idx < width; ++idx) {
-          TargetState& st = targets[{ev.level, idx}];
-          if (ev.kind == resilience::FaultKind::kFailStop) {
-            st = TargetState{1, 1.0, 1.0};
-          } else if (ev.kind == resilience::FaultKind::kRecover) {
-            st = TargetState{0, 1.0, 1.0};
-          } else {
-            st = TargetState{2, ev.latency_factor, ev.capacity_divisor};
-          }
-        }
-        break;
-      }
-      case resilience::FaultKind::kTransient:
-        disk_rate = ev.disk_error_rate;
-        net_rate = ev.net_error_rate;
-        break;
-      case resilience::FaultKind::kStall:
-        break;  // stalls are instantaneous; nothing stays in effect
-    }
-  }
-
+  // The end state of the cumulative history, re-stamped at t=0 so a
+  // drift replay starts under today's conditions.
+  const resilience::FaultInjector end =
+      resilience::fault_end_state(faults_, tree_);
   resilience::FaultSchedule out;
   out.seed = faults_.seed;
-  for (const auto& [key, st] : targets) {
-    if (st.mode == 0) continue;
-    resilience::FaultEvent ev;
-    ev.at = 0;
-    ev.level = key.first;
-    ev.node_index = static_cast<std::int32_t>(key.second);
-    if (st.mode == 1) {
-      ev.kind = resilience::FaultKind::kFailStop;
-    } else {
-      ev.kind = resilience::FaultKind::kDegrade;
-      ev.latency_factor = st.latency_factor;
-      ev.capacity_divisor = st.capacity_divisor;
+  for (std::uint32_t level = 1; level <= 3; ++level) {
+    resilience::FaultEvent whole;
+    whole.level = level;  // node_index -1: every node of the level
+    const auto nodes = resolve_fault_targets(tree_, whole);
+    for (std::size_t idx = 0; idx < nodes.size(); ++idx) {
+      resilience::FaultEvent ev;
+      ev.level = level;
+      ev.node_index = static_cast<std::int32_t>(idx);
+      if (end.failed(nodes[idx])) {
+        ev.kind = resilience::FaultKind::kFailStop;
+        out.add(ev);
+      }
+      ev.latency_factor = end.latency_factor(nodes[idx]);
+      ev.capacity_divisor = end.capacity_divisor(nodes[idx]);
+      if (ev.latency_factor != 1.0 || ev.capacity_divisor != 1.0) {
+        ev.kind = resilience::FaultKind::kDegrade;
+        out.add(ev);
+      }
     }
-    out.add(ev);
   }
-  if (disk_rate > 0.0 || net_rate > 0.0) {
+  if (end.disk_error_rate() > 0.0 || end.net_error_rate() > 0.0) {
     resilience::FaultEvent ev;
-    ev.at = 0;
     ev.kind = resilience::FaultKind::kTransient;
-    ev.disk_error_rate = disk_rate;
-    ev.net_error_rate = net_rate;
+    ev.disk_error_rate = end.disk_error_rate();
+    ev.net_error_rate = end.net_error_rate();
     out.add(ev);
   }
   return out;

@@ -174,15 +174,20 @@ class MappingState {
 
   // --- faults -------------------------------------------------------------
   /// Merges `schedule` into the cumulative fault history and updates
-  /// client liveness (an unrecovered compute-level fail-stop kills the
-  /// client).
+  /// client liveness (a client whose compute node the history's end
+  /// state holds failed is dead).  The batch is checked first: a
+  /// fail-stop or degrade of an absent node, or a batch that leaves no
+  /// alive client, throws Error and changes nothing; a recover of an
+  /// absent node is a no-op and is not merged.
   void apply_faults(const resilience::FaultSchedule& schedule);
   /// Re-places clusters stranded on dead clients, least-loaded-first;
   /// returns how many moved.
   std::size_t replace_orphans();
-  /// The cumulative fault history, squashed to what is in effect now
-  /// (every surviving event re-stamped at t=0) — the injector state a
-  /// drift-estimation replay should run under.
+  /// The history's end state (resilience::fault_end_state) as events at
+  /// t=0: per level and node index a fail-stop if the node is failed and
+  /// a degrade if its latency factor or capacity divisor is not 1, then
+  /// one transient event if an error rate is above 0 — the injector
+  /// state a drift-estimation replay should run under.
   resilience::FaultSchedule effective_faults() const;
 
   // --- queries ------------------------------------------------------------

@@ -22,13 +22,8 @@ void ExperimentResult::report(std::ostream& out) const {
       << ", execution time " << format_time(exec_time) << "\n";
 }
 
-ExperimentResult run_experiment(const workloads::Workload& workload,
-                                const SchemeSpec& scheme,
-                                const MachineConfig& config,
-                                const ResilienceSpec* resilience) {
-  const auto tree = config.build_tree();
-  const core::DataSpace space(workload.program, config.chunk_size_bytes);
-
+core::PipelineOptions pipeline_options(const SchemeSpec& scheme,
+                                       const MachineConfig& config) {
   core::PipelineOptions options;
   options.mapper = scheme.mapper;
   options.balance_threshold = scheme.balance_threshold;
@@ -39,6 +34,17 @@ ExperimentResult run_experiment(const workloads::Workload& workload,
   options.clustering = scheme.clustering;
   options.num_threads = scheme.num_threads;
   options.intra.client_cache_bytes = config.client_cache_bytes;
+  return options;
+}
+
+ExperimentResult run_experiment(const workloads::Workload& workload,
+                                const SchemeSpec& scheme,
+                                const MachineConfig& config,
+                                const ResilienceSpec* resilience) {
+  const auto tree = config.build_tree();
+  const core::DataSpace space(workload.program, config.chunk_size_bytes);
+
+  const core::PipelineOptions options = pipeline_options(scheme, config);
 
   ExperimentResult result;
   core::MappingPipeline pipeline(tree, options);
@@ -52,7 +58,7 @@ ExperimentResult run_experiment(const workloads::Workload& workload,
   if (resilience != nullptr && !resilience->schedule.empty()) {
     resilience::FaultSchedule schedule = resilience->schedule;
     const auto decision =
-        resilience::decide_remap(resilience->remap, schedule);
+        resilience::decide_remap(resilience->remap, schedule, tree);
     if (decision.triggered) {
       const auto surviving = resilience::surviving_topology(tree, schedule);
       mapping = resilience::remap_mapping(surviving, schedule, options,

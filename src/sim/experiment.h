@@ -123,6 +123,13 @@ struct ExperimentResult {
   void report(std::ostream& out) const;
 };
 
+/// The mapping-pipeline options a scheme runs with on `config` (every
+/// SchemeSpec field, plus the client cache the intra-processor tiling
+/// sizes against).  run_experiment and mlsc_map's mapping reports both
+/// use it.
+core::PipelineOptions pipeline_options(const SchemeSpec& scheme,
+                                       const MachineConfig& config);
+
 /// Runs one (workload, scheme, machine) experiment.  `resilience`
 /// (optional) replays the run under its fault schedule; with
 /// remap-on-failure enabled the mapping is recomputed over the surviving

@@ -218,11 +218,6 @@ Table comparison_table(const std::vector<ExperimentResult>& results) {
   return table;
 }
 
-void write_comparison_csv(std::ostream& out,
-                          const std::vector<ExperimentResult>& results) {
-  comparison_table(results).print_csv(out);
-}
-
 std::vector<ExperimentResult> run_all_schemes(
     const workloads::Workload& workload, const MachineConfig& config) {
   std::vector<ExperimentResult> results;

@@ -35,10 +35,6 @@ std::vector<std::pair<std::string, Table>> report_tables(
 /// All results must be for the same workload.
 Table comparison_table(const std::vector<ExperimentResult>& results);
 
-/// The comparison as CSV (same cells as comparison_table).
-void write_comparison_csv(std::ostream& out,
-                          const std::vector<ExperimentResult>& results);
-
 /// Runs every scheme of the paper's evaluation on one workload and
 /// returns the results in order: original, intra, inter, inter+sched.
 std::vector<ExperimentResult> run_all_schemes(

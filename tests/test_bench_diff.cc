@@ -128,6 +128,33 @@ TEST(BenchDiff, TimingNoiseMarginScalesWithRepetitions) {
   EXPECT_EQ(better.exit_code(), 0);
 }
 
+TEST(BenchDiff, SpeedupIsHigherIsBetter) {
+  // The scaling table's timing column renamed to a speedup column.
+  const auto record = [](const std::string& cell) {
+    std::string text = patched("\"map_ms\"", "\"map_speedup\"");
+    text.replace(text.find("\"16.00\""), 7, "\"" + cell + "\"");
+    return parse_json(text);
+  };
+  const std::string name = "tables.scaling[1024/2].map_speedup";
+  const auto verdict_of = [&](const DiffResult& result) {
+    for (const auto& d : result.deltas) {
+      if (d.name == name) return d.verdict;
+    }
+    ADD_FAILURE() << name << " not compared";
+    return Verdict::kSkipped;
+  };
+  const JsonValue base = record("16.00");
+  // A speedup that grows is an improvement, never a regression.
+  const DiffResult faster = diff_run_records(base, record("64.00"));
+  EXPECT_EQ(verdict_of(faster), Verdict::kImproved);
+  EXPECT_EQ(faster.exit_code(), 0);
+  // One that shrinks regresses.
+  const DiffResult slower = diff_run_records(base, record("1.00"));
+  const Verdict v = verdict_of(slower);
+  EXPECT_TRUE(v == Verdict::kSoftRegression || v == Verdict::kHardRegression);
+  EXPECT_GT(slower.exit_code(), 0);
+}
+
 TEST(BenchDiff, MissingAndNewMetricsDoNotFail) {
   const JsonValue base = parse_json(kRecord);
   const JsonValue pruned =

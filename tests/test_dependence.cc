@@ -91,41 +91,6 @@ TEST(Dependence, ConstantSubscriptMismatchDisproves) {
   EXPECT_TRUE(find_dependences(p.nest(0)).empty());
 }
 
-TEST(Dependence, DefaultParallelLoop) {
-  // for i: for j: A[i][j] = A[i][j-1] — j carries, i is parallel.
-  Program p;
-  const auto a = p.add_array({"A", {8, 8}, 8});
-  LoopNest nest;
-  nest.space = IterationSpace({{0, 7}, {1, 7}});
-  nest.refs = {
-      {a, AccessMap::identity(2, {0, 0}), /*is_write=*/true},
-      {a, AccessMap::identity(2, {0, -1}), false},
-  };
-  p.add_nest(std::move(nest));
-  const auto deps = find_dependences(p.nest(0));
-  EXPECT_FALSE(deps.empty());
-  EXPECT_EQ(default_parallel_loop(p.nest(0), deps),
-            std::optional<std::size_t>{0});
-}
-
-TEST(Dependence, SinkingPermutationMovesCarriersInner) {
-  // Dependence carried by loop 0: the permutation should sink loop 0.
-  Program p;
-  const auto a = p.add_array({"A", {8, 8}, 8});
-  LoopNest nest;
-  nest.space = IterationSpace({{1, 7}, {0, 7}});
-  nest.refs = {
-      {a, AccessMap::identity(2, {0, 0}), /*is_write=*/true},
-      {a, AccessMap::identity(2, {-1, 0}), false},
-  };
-  p.add_nest(std::move(nest));
-  const auto deps = find_dependences(p.nest(0));
-  const auto perm = dependence_sinking_permutation(p.nest(0), deps);
-  ASSERT_EQ(perm.size(), 2u);
-  EXPECT_EQ(perm[0], 1u);  // parallel loop out
-  EXPECT_EQ(perm[1], 0u);  // carrier sunk innermost
-}
-
 TEST(Dependence, ToStringRendersStars) {
   Dependence d;
   d.src_ref = 0;

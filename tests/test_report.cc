@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "core/client_codegen.h"
 #include "support/check.h"
 #include "workloads/registry.h"
 
@@ -19,6 +20,46 @@ MachineConfig small_machine() {
   config.io_cache_bytes = 2 * kMiB;
   config.storage_cache_bytes = 2 * kMiB;
   return config;
+}
+
+TEST(SchemeSpec, PipelineOptionsCarryEveryField) {
+  SchemeSpec scheme = SchemeSpec::inter_scheduled(0.25, 0.75);
+  scheme.balance_threshold = 0.2;
+  scheme.tagging.max_iteration_chunks = 123;
+  scheme.dependences = core::DependenceStrategy::kMergeClusters;
+  scheme.clustering.algorithm = core::ClusterOptions::Algorithm::kForest;
+  scheme.num_threads = 3;
+  MachineConfig config = small_machine();
+  config.client_cache_bytes = 1 * kMiB;
+  const core::PipelineOptions options = pipeline_options(scheme, config);
+  EXPECT_EQ(options.mapper, scheme.mapper);
+  EXPECT_TRUE(options.schedule);
+  EXPECT_EQ(options.scheduler.alpha, 0.25);
+  EXPECT_EQ(options.scheduler.beta, 0.75);
+  EXPECT_EQ(options.balance_threshold, 0.2);
+  EXPECT_EQ(options.tagging.max_iteration_chunks, 123u);
+  EXPECT_EQ(options.dependences, core::DependenceStrategy::kMergeClusters);
+  EXPECT_EQ(options.clustering.algorithm,
+            core::ClusterOptions::Algorithm::kForest);
+  EXPECT_EQ(options.num_threads, 3u);
+  EXPECT_EQ(options.intra.client_cache_bytes, 1 * kMiB);
+}
+
+TEST(SchemeSpec, IntraTilingFollowsTheClientCache) {
+  // The intra-processor scheme tiles for the client cache it is given:
+  // hf's emitted client code at 1 MiB is not the 32 MiB code.
+  const auto workload = workloads::make_workload("hf", 1.0 / 16.0);
+  const auto client_code = [&](std::uint64_t cache_bytes) {
+    MachineConfig config = small_machine();
+    config.client_cache_bytes = cache_bytes;
+    const auto tree = config.build_tree();
+    const core::DataSpace space(workload.program, config.chunk_size_bytes);
+    const core::MappingPipeline pipeline(
+        tree, pipeline_options(SchemeSpec::intra(), config));
+    return core::emit_all_clients_source(
+        workload.program, pipeline.run_all(workload.program, space));
+  };
+  EXPECT_NE(client_code(1 * kMiB), client_code(32 * kMiB));
 }
 
 TEST(Report, SingleExperimentRendersEverySection) {
@@ -55,7 +96,7 @@ TEST(Report, ComparisonNormalizesToFirst) {
   const auto table = comparison_table(results);
   EXPECT_EQ(table.num_rows(), 2u);
   std::ostringstream csv;
-  write_comparison_csv(csv, results);
+  table.print_csv(csv);
   // The first row normalizes to exactly 1.000.
   EXPECT_NE(csv.str().find("1.000"), std::string::npos);
 }

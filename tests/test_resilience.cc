@@ -11,10 +11,12 @@
 #include "resilience/fault.h"
 #include "resilience/remap.h"
 #include "resilience/retry.h"
+#include "serve/state.h"
 #include "sim/engine.h"
 #include "sim/experiment.h"
 #include "support/check.h"
 #include "support/json.h"
+#include "support/rng.h"
 #include "workloads/registry.h"
 
 namespace mlsc::resilience {
@@ -102,12 +104,25 @@ TEST(FaultSchedule, ParsesJsonDocument) {
                Error);
 }
 
+FaultEvent node_of(std::uint32_t level, std::int32_t index) {
+  FaultEvent probe;
+  probe.level = level;
+  probe.node_index = index;
+  return probe;
+}
+
+topology::NodeId node_id(const topology::HierarchyTree& tree,
+                         std::uint32_t level, std::int32_t index) {
+  return resolve_fault_targets(tree, node_of(level, index))[0];
+}
+
 TEST(FaultSchedule, UnrecoveredFailStopsHonorRecovery) {
-  const auto schedule = parse_fault_spec(
-      "fail@1ms:l2.0; fail@2ms:l2.1; recover@5ms:l2.0");
-  const auto open = schedule.unrecovered_fail_stops();
-  ASSERT_EQ(open.size(), 1u);
-  EXPECT_EQ(open[0].node_index, 1);
+  const auto tree = tiny_machine().build_tree();
+  const auto end = fault_end_state(
+      parse_fault_spec("fail@1ms:l2.0; fail@2ms:l2.1; recover@5ms:l2.0"),
+      tree);
+  EXPECT_FALSE(end.failed(node_id(tree, 2, 0)));
+  EXPECT_TRUE(end.failed(node_id(tree, 2, 1)));
 }
 
 TEST(FaultTargets, ResolveByLevelAndIndex) {
@@ -237,18 +252,20 @@ TEST(DegradedReplay, FailStopLosesCacheContents) {
 }
 
 TEST(Remap, DecisionTriggersOnFailStopOnly) {
+  const auto tree = tiny_machine().build_tree();
   RemapPolicy policy;
   EXPECT_FALSE(
-      decide_remap(policy, parse_fault_spec("degrade@1ms:l2.0:lat=2"))
+      decide_remap(policy, parse_fault_spec("degrade@1ms:l2.0:lat=2"), tree)
           .triggered);
   const auto decision =
-      decide_remap(policy, parse_fault_spec("fail@3ms:l2.1"));
+      decide_remap(policy, parse_fault_spec("fail@3ms:l2.1"), tree);
   EXPECT_TRUE(decision.triggered);
   EXPECT_EQ(decision.at, 3 * kMillisecond);
   EXPECT_NE(decision.reason.find("level 2"), std::string::npos);
   policy.remap_on_failure = false;
   EXPECT_FALSE(
-      decide_remap(policy, parse_fault_spec("fail@3ms:l2.1")).triggered);
+      decide_remap(policy, parse_fault_spec("fail@3ms:l2.1"), tree)
+          .triggered);
 }
 
 TEST(Remap, SurvivingTopologyDropsFailedCaches) {
@@ -328,6 +345,157 @@ TEST(Remap, ExperimentReportsRemapOutcome) {
   // The remap steers work off the degraded path, so failover detections
   // must drop.
   EXPECT_LT(remapped.engine.failovers, no_remap.engine.failovers);
+}
+
+// --- one reading of a schedule ---------------------------------------------
+// Every consumer of a fault schedule — the service's alive set and drift
+// replay schedule, the survivor topology, the remap trigger — must agree
+// with the injector's end state.
+
+TEST(FaultEndState, WholeLevelFailThenNodeRecover) {
+  // Only client 0 comes back; the other three stay failed.
+  const auto config = tiny_machine();
+  const auto tree = config.build_tree();
+  const auto schedule = parse_fault_spec("fail@2ms:l1; recover@3ms:l1.0");
+  serve::MappingState state(config);
+  state.apply_faults(schedule);
+  EXPECT_EQ(state.client_alive(),
+            (std::vector<bool>{true, false, false, false}));
+  const auto surviving = surviving_topology(tree, schedule);
+  for (std::size_t rank = 0; rank < tree.num_clients(); ++rank) {
+    EXPECT_EQ(surviving.node(tree.clients()[rank]).cache_capacity_bytes == 0,
+              rank != 0)
+        << "client " << rank;
+  }
+}
+
+TEST(FaultEndState, FailThenDegradeStaysFailed) {
+  const auto config = tiny_machine();
+  serve::MappingState state(config);
+  state.apply_faults(parse_fault_spec("fail@1:l2.0; degrade@2:l2.0:lat=2"));
+  const auto effective = state.effective_faults();
+  ASSERT_EQ(effective.events.size(), 2u);
+  EXPECT_EQ(effective.events[0].kind, FaultKind::kFailStop);
+  EXPECT_EQ(effective.events[1].kind, FaultKind::kDegrade);
+  EXPECT_DOUBLE_EQ(effective.events[1].latency_factor, 2.0);
+  for (const auto& event : effective.events) {
+    EXPECT_EQ(event.level, 2u);
+    EXPECT_EQ(event.node_index, 0);
+  }
+}
+
+TEST(FaultEndState, RecoveredFailStopDoesNotTriggerRemap) {
+  const auto tree = tiny_machine().build_tree();
+  const auto schedule = parse_fault_spec("fail@1ms:l2.0; recover@2ms:l2.0");
+  EXPECT_FALSE(decide_remap(RemapPolicy{}, schedule, tree).triggered);
+  const auto run =
+      run_faulted("fail@1ms:l2.0; recover@2ms:l2.0; seed=5", true);
+  EXPECT_FALSE(run.remapped);
+  EXPECT_EQ(run.remap_pause, 0u);
+}
+
+/// A random schedule on the oracle machine: all five kinds, whole-level
+/// and node targets, and runs of fail/degrade/recover on one node.
+FaultSchedule random_schedule(Rng& rng) {
+  constexpr std::int32_t kWidth[] = {0, 4, 2, 2};  // nodes per level
+  const std::uint32_t focus_level = 1 + rng.next_below(3);
+  const auto focus_index =
+      static_cast<std::int32_t>(rng.next_below(kWidth[focus_level]));
+  FaultSchedule schedule;
+  schedule.seed = rng.next_u64();
+  const std::uint64_t count = 1 + rng.next_below(8);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    FaultEvent event;
+    event.at = rng.next_below(6) * kMillisecond;  // ties keep add order
+    event.kind = static_cast<FaultKind>(rng.next_below(5));
+    if (event.kind == FaultKind::kTransient) {
+      event.disk_error_rate = rng.next_below(2) * 0.25;
+      event.net_error_rate = rng.next_below(2) * 0.5;
+    } else if (event.kind == FaultKind::kStall) {
+      event.duration = kMicrosecond;
+    } else if (rng.next_below(2) == 0) {
+      event.level = focus_level;
+      event.node_index = focus_index;
+    } else {
+      event.level = 1 + static_cast<std::uint32_t>(rng.next_below(3));
+      event.node_index =
+          static_cast<std::int32_t>(rng.next_below(kWidth[event.level] + 1)) -
+          1;  // -1: the whole level
+    }
+    if (event.kind == FaultKind::kDegrade) {
+      event.latency_factor = 1.0 + static_cast<double>(rng.next_below(3));
+      event.capacity_divisor = 1.0 + static_cast<double>(rng.next_below(2));
+    }
+    schedule.add(event);
+  }
+  return schedule;
+}
+
+TEST(FaultEndState, RandomSchedulesAgreeWithInjector) {
+  sim::MachineConfig config = tiny_machine();
+  config.storage_nodes = 2;  // a dummy root above two storage nodes
+  const auto tree = config.build_tree();
+  Rng rng(20);
+  std::size_t accepted = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const FaultSchedule schedule = random_schedule(rng);
+    SCOPED_TRACE(schedule.to_string());
+    const FaultInjector end = fault_end_state(schedule, tree);
+    bool any_failed = false;
+    bool any_client_alive = false;
+    for (topology::NodeId id = 0; id < tree.num_nodes(); ++id) {
+      any_failed = any_failed || end.failed(id);
+    }
+    for (const topology::NodeId client : tree.clients()) {
+      any_client_alive = any_client_alive || !end.failed(client);
+    }
+
+    // (a) The service's alive set; a schedule that kills every client
+    // is rejected and leaves the state untouched.
+    serve::MappingState state(config);
+    if (!any_client_alive) {
+      EXPECT_THROW(state.apply_faults(schedule), Error);
+      EXPECT_EQ(state.num_alive_clients(), tree.num_clients());
+      EXPECT_TRUE(state.effective_faults().empty());
+    } else {
+      state.apply_faults(schedule);
+      ++accepted;
+      for (std::size_t rank = 0; rank < tree.num_clients(); ++rank) {
+        EXPECT_EQ(state.client_alive()[rank],
+                  !end.failed(tree.clients()[rank]))
+            << "client " << rank;
+      }
+
+      // (c) Replaying the t=0 squash reproduces the end state.
+      const FaultSchedule effective = state.effective_faults();
+      for (const FaultEvent& event : effective.events) {
+        EXPECT_EQ(event.at, 0u);
+      }
+      const FaultInjector replay = fault_end_state(effective, tree);
+      for (topology::NodeId id = 0; id < tree.num_nodes(); ++id) {
+        EXPECT_EQ(replay.failed(id), end.failed(id)) << "node " << id;
+        EXPECT_EQ(replay.latency_factor(id), end.latency_factor(id))
+            << "node " << id;
+        EXPECT_EQ(replay.capacity_divisor(id), end.capacity_divisor(id))
+            << "node " << id;
+      }
+      EXPECT_EQ(replay.disk_error_rate(), end.disk_error_rate());
+      EXPECT_EQ(replay.net_error_rate(), end.net_error_rate());
+    }
+
+    // (b) The survivor topology zeroes exactly the failed nodes.
+    const auto surviving = surviving_topology(tree, schedule);
+    for (topology::NodeId id = 0; id < tree.num_nodes(); ++id) {
+      EXPECT_EQ(surviving.node(id).cache_capacity_bytes,
+                end.failed(id) ? 0 : tree.node(id).cache_capacity_bytes)
+          << "node " << id;
+    }
+
+    // (d) The remap triggers exactly when something stays failed.
+    EXPECT_EQ(decide_remap(RemapPolicy{}, schedule, tree).triggered,
+              any_failed);
+  }
+  EXPECT_GT(accepted, 200u);
 }
 
 TEST(Resilience, HealthyRunsAreUntouchedByNullInjector) {

@@ -56,6 +56,14 @@ ServeEvent make_depart(Nanoseconds at, const std::string& id) {
   return event;
 }
 
+ServeEvent make_fault(Nanoseconds at, const std::string& spec) {
+  ServeEvent event;
+  event.kind = EventKind::kFault;
+  event.at = at;
+  event.fault_spec = spec;
+  return event;
+}
+
 ServiceOptions tiny_options() {
   ServiceOptions options;
   options.machine = tiny_machine();
@@ -513,6 +521,35 @@ TEST(MappingState, EffectiveFaultsSquashToLastState) {
     }
   }
   EXPECT_DOUBLE_EQ(disk_rate, 0.01);  // later transient replaces earlier
+}
+
+TEST(MappingService, RejectedFaultChangesNothing) {
+  MappingService service(tiny_options());
+  service.process(make_register(0, "a", "astro", 1.0 / 16.0, 4));
+  service.process(make_fault(1 * kMillisecond, "transient@0:disk=0.25"));
+  const std::string fingerprint = service.state().fingerprint();
+  const std::string effective =
+      service.state().effective_faults().to_string();
+  // Every client dead, a fail-stop of an absent client, a degrade of an
+  // absent I/O node, a valid event batched with an invalid one: rejected
+  // before anything is merged.
+  for (const char* spec :
+       {"fail@2ms:l1", "fail@2ms:l1.8", "degrade@2ms:l2.4:lat=2",
+        "fail@2ms:l1.0; fail@2ms:l1.9"}) {
+    SCOPED_TRACE(spec);
+    EXPECT_THROW(service.process(make_fault(2 * kMillisecond, spec)), Error);
+    EXPECT_EQ(service.state().fingerprint(), fingerprint);
+    EXPECT_EQ(service.state().effective_faults().to_string(), effective);
+  }
+  // A recover of an absent client heals nothing and is not merged: the
+  // history stays replayable, so a later fault still applies.
+  service.process(make_fault(3 * kMillisecond, "recover@3ms:l1.9"));
+  EXPECT_EQ(service.state().fingerprint(), fingerprint);
+  service.process(make_fault(4 * kMillisecond, "fail@4ms:l1.1"));
+  EXPECT_FALSE(service.state().client_alive()[1]);
+  service.process(make_register(5 * kMillisecond, "b", "hf", 1.0 / 16.0, 2));
+  service.state().check_invariants();
+  EXPECT_NE(service.state().find_live("b"), static_cast<std::size_t>(-1));
 }
 
 // --- service oracles -------------------------------------------------------

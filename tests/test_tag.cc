@@ -25,13 +25,6 @@ TEST(ChunkTag, CommonBitsMatchesFig8) {
   EXPECT_EQ(g1.common_bits(g5), 2u);
 }
 
-TEST(ChunkTag, HammingDistance) {
-  const auto a = ChunkTag::from_bits({1, 2, 3});
-  const auto b = ChunkTag::from_bits({2, 3, 4, 5});
-  EXPECT_EQ(a.hamming_distance(b), 3u);  // {1} vs {4,5}
-  EXPECT_EQ(a.hamming_distance(a), 0u);
-}
-
 TEST(ChunkTag, MergeAndRender) {
   const auto a = ChunkTag::from_bits({0, 2});
   const auto b = ChunkTag::from_bits({2, 3});

@@ -270,14 +270,8 @@ int main(int argc, char** argv) {
       const auto tree = machine.build_tree();
       const core::DataSpace space(workload.program,
                                   machine.chunk_size_bytes);
-      core::PipelineOptions options;
-      options.mapper = scheme.mapper;
-      options.schedule = scheme.schedule;
-      options.scheduler = scheme.scheduler;
-      options.balance_threshold = scheme.balance_threshold;
-      options.clustering = scheme.clustering;
-      options.num_threads = scheme.num_threads;
-      core::MappingPipeline pipeline(tree, options);
+      core::MappingPipeline pipeline(tree,
+                                     sim::pipeline_options(scheme, machine));
       const auto mapping = [&] {
         obs::ScopedPhase phase(record, "mapping");
         return pipeline.run_all(workload.program, space);
