@@ -29,9 +29,10 @@ int main(int argc, char** argv) {
     for (const auto& name : apps) {
       const auto workload = workloads::make_workload(name);
       const auto orig =
-          bench::run(workload, sim::SchemeSpec::original(), machine);
+          bench::run(workload, core::PipelineOptions::original(), machine);
       const auto sched = bench::run(
-          workload, sim::SchemeSpec::inter_scheduled(alpha, beta), machine);
+          workload, core::PipelineOptions::inter_scheduled(alpha, beta),
+          machine);
       l1 += sched.l1_miss_rate / orig.l1_miss_rate;
       l2 += sched.l2_miss_rate / orig.l2_miss_rate;
       io += static_cast<double>(sched.io_latency) /

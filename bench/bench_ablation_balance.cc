@@ -24,8 +24,8 @@ int main(int argc, char** argv) {
     for (const auto& name : apps) {
       const auto workload = workloads::make_workload(name);
       const auto orig =
-          bench::run(workload, sim::SchemeSpec::original(), machine);
-      sim::SchemeSpec spec = sim::SchemeSpec::inter();
+          bench::run(workload, core::PipelineOptions::original(), machine);
+      core::PipelineOptions spec = core::PipelineOptions::inter();
       spec.balance_threshold = t;
       const auto inter = bench::run(workload, spec, machine);
       io += static_cast<double>(inter.io_latency) /

@@ -19,10 +19,10 @@ int main(int argc, char** argv) {
   for (const auto& name : apps) {
     const auto workload = workloads::make_workload(name);
     const auto orig =
-        bench::run(workload, sim::SchemeSpec::original(), machine);
+        bench::run(workload, core::PipelineOptions::original(), machine);
     for (const auto strategy : {core::DependenceStrategy::kMergeClusters,
                                 core::DependenceStrategy::kSynchronize}) {
-      sim::SchemeSpec spec = sim::SchemeSpec::inter();
+      core::PipelineOptions spec = core::PipelineOptions::inter();
       spec.dependences = strategy;
       const auto r = bench::run(workload, spec, machine);
       table.add_row(

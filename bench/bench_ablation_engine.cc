@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   for (const auto& name : apps) {
     const auto workload = workloads::make_workload(name);
     base_io.push_back(static_cast<double>(
-        bench::run(workload, sim::SchemeSpec::original(),
+        bench::run(workload, core::PipelineOptions::original(),
                    sim::MachineConfig::paper_default())
             .io_latency));
   }
@@ -60,12 +60,12 @@ int main(int argc, char** argv) {
       variant.apply(machine);
       const auto workload = workloads::make_workload(apps[i]);
       orig_sum += static_cast<double>(
-                      bench::run(workload, sim::SchemeSpec::original(),
+                      bench::run(workload, core::PipelineOptions::original(),
                                  machine)
                           .io_latency) /
                   base_io[i];
       inter_sum += static_cast<double>(
-                       bench::run(workload, sim::SchemeSpec::inter(),
+                       bench::run(workload, core::PipelineOptions::inter(),
                                   machine)
                            .io_latency) /
                    base_io[i];

@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
     const auto workload = workloads::make_workload(name);
     if (workload.program.nests.size() < 2) continue;
     const auto joint =
-        bench::run(workload, sim::SchemeSpec::inter(), machine);
+        bench::run(workload, core::PipelineOptions::inter(), machine);
     std::cerr << "[bench] " << name << " / inter (isolated nests)\n";
     const auto isolated = run_isolated(workload, machine);
     table.add_row({name, "joint (paper §5.4)",

@@ -28,10 +28,10 @@ int main(int argc, char** argv) {
     for (const auto& name : apps) {
       const auto workload = workloads::make_workload(name);
       orig_io += static_cast<double>(
-          bench::run(workload, sim::SchemeSpec::original(), machine)
+          bench::run(workload, core::PipelineOptions::original(), machine)
               .io_latency);
       inter_io += static_cast<double>(
-          bench::run(workload, sim::SchemeSpec::inter(), machine)
+          bench::run(workload, core::PipelineOptions::inter(), machine)
               .io_latency);
     }
     table.add_row({cache::policy_kind_name(policy),
@@ -53,10 +53,10 @@ int main(int argc, char** argv) {
     for (const auto& name : apps) {
       const auto workload = workloads::make_workload(name);
       orig_io += static_cast<double>(
-          bench::run(workload, sim::SchemeSpec::original(), machine)
+          bench::run(workload, core::PipelineOptions::original(), machine)
               .io_latency);
       inter_io += static_cast<double>(
-          bench::run(workload, sim::SchemeSpec::inter(), machine)
+          bench::run(workload, core::PipelineOptions::inter(), machine)
               .io_latency);
     }
     placement.add_row({cache::placement_mode_name(mode),

@@ -54,7 +54,7 @@ double throughput(const workloads::Workload& workload,
 }
 
 sim::ExperimentResult run_variant(const workloads::Workload& workload,
-                                  const sim::SchemeSpec& scheme,
+                                  const core::PipelineOptions& scheme,
                                   const sim::MachineConfig& config,
                                   const sim::ResilienceSpec* resilience,
                                   const std::string& variant) {
@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
 
   sim::MachineConfig config;
   config.workload_size_factor = size_factor;
-  const sim::SchemeSpec scheme = sim::SchemeSpec::inter();
+  const core::PipelineOptions scheme = core::PipelineOptions::inter();
 
   // Failover detection at multipath-probe scale: the failed node is
   // silent, so every access that reaches it waits out a 50 ms path probe

@@ -4,7 +4,6 @@
 // Paper's headline: intra reduces L1 by 16.2% but barely touches L2/L3
 // (2.1%/0.5%); inter reduces all three (15.3%/31.0%/24.6%).
 #include "bench/common.h"
-#include "support/stats.h"
 
 int main(int argc, char** argv) {
   mlsc::bench::parse_common_flags(argc, argv);
@@ -27,9 +26,11 @@ int main(int argc, char** argv) {
   for (const auto& name : apps) {
     const auto workload = workloads::make_workload(name);
     const auto orig =
-        bench::run(workload, sim::SchemeSpec::original(), machine);
-    const auto intra = bench::run(workload, sim::SchemeSpec::intra(), machine);
-    const auto inter = bench::run(workload, sim::SchemeSpec::inter(), machine);
+        bench::run(workload, core::PipelineOptions::original(), machine);
+    const auto intra =
+        bench::run(workload, core::PipelineOptions::intra(), machine);
+    const auto inter =
+        bench::run(workload, core::PipelineOptions::inter(), machine);
     const double values[6] = {
         intra.l1_miss_rate / orig.l1_miss_rate,
         intra.l2_miss_rate / orig.l2_miss_rate,

@@ -20,9 +20,11 @@ int main(int argc, char** argv) {
   for (const auto& name : apps) {
     const auto workload = workloads::make_workload(name);
     const auto orig =
-        bench::run(workload, sim::SchemeSpec::original(), machine);
-    const auto intra = bench::run(workload, sim::SchemeSpec::intra(), machine);
-    const auto inter = bench::run(workload, sim::SchemeSpec::inter(), machine);
+        bench::run(workload, core::PipelineOptions::original(), machine);
+    const auto intra =
+        bench::run(workload, core::PipelineOptions::intra(), machine);
+    const auto inter =
+        bench::run(workload, core::PipelineOptions::inter(), machine);
     const double values[4] = {
         static_cast<double>(intra.io_latency) /
             static_cast<double>(orig.io_latency),

@@ -40,9 +40,9 @@ int main(int argc, char** argv) {
     for (const auto& name : apps) {
       const auto workload = workloads::make_workload(name);
       const auto orig =
-          bench::run(workload, sim::SchemeSpec::original(), machine);
+          bench::run(workload, core::PipelineOptions::original(), machine);
       const auto inter =
-          bench::run(workload, sim::SchemeSpec::inter(), machine);
+          bench::run(workload, core::PipelineOptions::inter(), machine);
       io_sum += static_cast<double>(inter.io_latency) /
                 static_cast<double>(orig.io_latency);
       exec_sum += static_cast<double>(inter.exec_time) /

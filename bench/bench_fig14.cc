@@ -33,10 +33,10 @@ int main(int argc, char** argv) {
     for (const auto& name : apps) {
       const auto workload = workloads::make_workload(name);
       const auto orig =
-          bench::run(workload, sim::SchemeSpec::original(), machine);
+          bench::run(workload, core::PipelineOptions::original(), machine);
       const auto start = std::chrono::steady_clock::now();
       const auto inter =
-          bench::run(workload, sim::SchemeSpec::inter(), machine);
+          bench::run(workload, core::PipelineOptions::inter(), machine);
       mapping_seconds +=
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         start)

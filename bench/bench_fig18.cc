@@ -22,10 +22,11 @@ int main(int argc, char** argv) {
   for (const auto& name : apps) {
     const auto workload = workloads::make_workload(name);
     const auto orig =
-        bench::run(workload, sim::SchemeSpec::original(), machine);
-    const auto inter = bench::run(workload, sim::SchemeSpec::inter(), machine);
+        bench::run(workload, core::PipelineOptions::original(), machine);
+    const auto inter =
+        bench::run(workload, core::PipelineOptions::inter(), machine);
     const auto sched =
-        bench::run(workload, sim::SchemeSpec::inter_scheduled(), machine);
+        bench::run(workload, core::PipelineOptions::inter_scheduled(), machine);
     const double values[6] = {
         inter.l1_miss_rate / orig.l1_miss_rate,
         sched.l1_miss_rate / orig.l1_miss_rate,

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   for (const auto& name : bench::bench_apps()) {
     const auto workload = workloads::make_workload(name);
     const auto result =
-        bench::run(workload, sim::SchemeSpec::inter(), machine);
+        bench::run(workload, core::PipelineOptions::inter(), machine);
     std::vector<std::string> row{name};
     for (const auto& level : result.movement) {
       row.push_back(std::to_string(level.bytes_moved));

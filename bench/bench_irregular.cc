@@ -23,9 +23,9 @@ int main(int argc, char** argv) {
   for (double shuffle : {0.0, 0.2, 0.5, 1.0}) {
     const auto workload = workloads::make_irregular(1.0, shuffle);
     const auto orig =
-        bench::run(workload, sim::SchemeSpec::original(), machine);
+        bench::run(workload, core::PipelineOptions::original(), machine);
     const auto inter =
-        bench::run(workload, sim::SchemeSpec::inter(), machine);
+        bench::run(workload, core::PipelineOptions::inter(), machine);
     table.add_row(
         {format_double(shuffle, 2),
          std::to_string(orig.engine.disk_requests),

@@ -257,9 +257,9 @@ int main(int argc, char** argv) {
   const auto machine = sim::MachineConfig::paper_default();
   for (const std::string& name : {std::string("sar"), std::string("astro")}) {
     const auto workload = workloads::make_workload(name, 1.0);
-    sim::SchemeSpec greedy = sim::SchemeSpec::inter();
+    core::PipelineOptions greedy = core::PipelineOptions::inter();
     greedy.clustering.algorithm = core::ClusterOptions::Algorithm::kGreedy;
-    sim::SchemeSpec forest = sim::SchemeSpec::inter();
+    core::PipelineOptions forest = core::PipelineOptions::inter();
     forest.clustering.algorithm = core::ClusterOptions::Algorithm::kForest;
     const auto g = bench::run(workload, greedy, machine);
     const auto f = bench::run(workload, forest, machine);

@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   for (const auto& name : bench::bench_apps()) {
     const auto workload = workloads::make_workload(name);
     const auto r =
-        bench::run(workload, sim::SchemeSpec::original(), machine);
+        bench::run(workload, core::PipelineOptions::original(), machine);
     table.add_row({workload.name, workload.description,
                    format_bytes(workload.simulated_data_bytes() * 64),
                    format_double(r.l1_miss_rate * 100, 1),

@@ -210,7 +210,7 @@ void queue_json_table(const Table& table, const std::string& title) {
 }
 
 sim::ExperimentResult run(const workloads::Workload& workload,
-                          const sim::SchemeSpec& scheme,
+                          const core::PipelineOptions& scheme,
                           const sim::MachineConfig& config) {
   std::cerr << "[bench] " << workload.name << " / " << scheme.name() << " / "
             << config.to_string() << "\n";

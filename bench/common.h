@@ -88,7 +88,7 @@ void print_table(const Table& table, const std::string& title = "");
 
 /// Runs one experiment, with a progress note on stderr.
 sim::ExperimentResult run(const workloads::Workload& workload,
-                          const sim::SchemeSpec& scheme,
+                          const core::PipelineOptions& scheme,
                           const sim::MachineConfig& config);
 
 /// Formats a ratio like the paper's normalized plots (original = 1.0).

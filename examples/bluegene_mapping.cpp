@@ -40,8 +40,9 @@ int main(int argc, char** argv) {
   Table table({"scheme", "L1 miss %", "L2 miss %", "L3 miss %",
                "disk reqs", "I/O latency", "exec time"});
   for (const auto& scheme :
-       {sim::SchemeSpec::original(), sim::SchemeSpec::intra(),
-        sim::SchemeSpec::inter(), sim::SchemeSpec::inter_scheduled()}) {
+       {core::PipelineOptions::original(), core::PipelineOptions::intra(),
+        core::PipelineOptions::inter(),
+        core::PipelineOptions::inter_scheduled()}) {
     const auto r = sim::run_experiment(workload, scheme, machine);
     table.add_row({r.scheme, format_double(r.l1_miss_rate * 100, 1),
                    format_double(r.l2_miss_rate * 100, 1),

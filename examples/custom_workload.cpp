@@ -55,8 +55,8 @@ int main() {
   Table table({"scheme", "L1 miss %", "disk reqs", "I/O latency",
                "exec time"});
   for (const auto& scheme :
-       {sim::SchemeSpec::original(), sim::SchemeSpec::inter(),
-        sim::SchemeSpec::inter_scheduled()}) {
+       {core::PipelineOptions::original(), core::PipelineOptions::inter(),
+        core::PipelineOptions::inter_scheduled()}) {
     const auto r = sim::run_experiment(workload, scheme, machine);
     table.add_row({r.scheme, format_double(r.l1_miss_rate * 100, 1),
                    std::to_string(r.engine.disk_requests),

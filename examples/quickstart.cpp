@@ -26,11 +26,11 @@ int main(int argc, char** argv) {
             << " at paper scale)\n"
             << "machine:  " << machine.to_string() << "\n\n";
 
-  const sim::SchemeSpec schemes[] = {
-      sim::SchemeSpec::original(),
-      sim::SchemeSpec::intra(),
-      sim::SchemeSpec::inter(),
-      sim::SchemeSpec::inter_scheduled(),
+  const core::PipelineOptions schemes[] = {
+      core::PipelineOptions::original(),
+      core::PipelineOptions::intra(),
+      core::PipelineOptions::inter(),
+      core::PipelineOptions::inter_scheduled(),
   };
 
   Table table({"scheme", "L1 miss %", "L2 miss %", "L3 miss %",

@@ -9,6 +9,9 @@
 namespace mlsc::core {
 namespace {
 
+/// Tile sizes the intra-processor search tries per tiled loop.
+constexpr std::int64_t kTileCandidates[] = {8, 16, 32, 64, 128};
+
 /// True when the permuted distance vector is lexicographically positive
 /// (or all-zero), i.e. the permutation preserves the dependence.  A "*"
 /// component is an unknown sign: legal only if an earlier permuted loop
@@ -110,18 +113,17 @@ double chunk_locality_cost(const poly::Program& program,
   return static_cast<double>(misses) / static_cast<double>(steps);
 }
 
-poly::IterationOrder choose_locality_order(
-    const poly::Program& program, const DataSpace& space,
-    const poly::LoopNest& nest, const IntraProcessorOptions& options) {
+poly::IterationOrder choose_locality_order(const poly::Program& program,
+                                           const DataSpace& space,
+                                           const poly::LoopNest& nest,
+                                           std::uint64_t client_cache_bytes) {
   const std::size_t depth = nest.depth();
   MLSC_CHECK(depth >= 1, "nest must have at least one loop");
   MLSC_CHECK(depth <= 6, "permutation search limited to 6-deep nests");
 
-  const std::uint64_t cache_bytes = options.client_cache_bytes > 0
-                                        ? options.client_cache_bytes
-                                        : 32 * kMiB;
   const std::size_t cache_chunks = std::max<std::size_t>(
-      1, static_cast<std::size_t>(cache_bytes / space.chunk_size_bytes()));
+      1, static_cast<std::size_t>(client_cache_bytes /
+                                  space.chunk_size_bytes()));
 
   std::vector<std::size_t> perm(depth);
   for (std::size_t k = 0; k < depth; ++k) perm[k] = k;
@@ -157,7 +159,7 @@ poly::IterationOrder choose_locality_order(
     // Tile the two innermost permuted loops ("blocking to improve
     // temporal reuse in outer loop positions") with each candidate size.
     if (depth >= 2 && may_tile) {
-      for (std::int64_t tile : options.tile_candidates) {
+      for (const std::int64_t tile : kTileCandidates) {
         poly::IterationOrder tiled = candidate;
         const std::size_t inner1 = perm[depth - 1];
         const std::size_t inner2 = perm[depth - 2];
@@ -179,7 +181,7 @@ MappingResult map_intra_processor(const poly::Program& program,
                                   const DataSpace& space,
                                   std::span<const poly::NestId> nests,
                                   std::size_t num_clients,
-                                  const IntraProcessorOptions& options) {
+                                  std::uint64_t client_cache_bytes) {
   MLSC_CHECK(num_clients > 0, "need at least one client");
   MappingResult result;
   result.kind = MapperKind::kIntraProcessor;
@@ -188,7 +190,7 @@ MappingResult map_intra_processor(const poly::Program& program,
   for (poly::NestId nest_id : nests) {
     const auto& nest = program.nest(nest_id);
     const auto order =
-        choose_locality_order(program, space, nest, options);
+        choose_locality_order(program, space, nest, client_cache_bytes);
     append_blocks(result.client_work, nest_id, order, nest.space.size(),
                   num_clients);
   }

@@ -24,22 +24,16 @@ MappingResult map_original(const poly::Program& program,
                            std::span<const poly::NestId> nests,
                            std::size_t num_clients);
 
-struct IntraProcessorOptions {
-  /// Cache budget the tiling heuristic targets (the paper tunes tile
-  /// sizes for the client-local storage cache).
-  std::uint64_t client_cache_bytes = 0;  // 0 = choose tiles by search set
-  /// Candidate tile sizes tried per tiled loop.
-  std::vector<std::int64_t> tile_candidates{8, 16, 32, 64, 128};
-};
-
 /// The intra-processor scheme: per-nest permutation + tiling chosen by an
 /// analytic chunk-locality model, then K equal contiguous blocks of the
-/// transformed traversal.
+/// transformed traversal.  The model simulates a client cache of
+/// `client_cache_bytes` (the paper tunes tile sizes for the client-local
+/// storage cache); a cache smaller than one chunk counts as one chunk.
 MappingResult map_intra_processor(const poly::Program& program,
                                   const DataSpace& space,
                                   std::span<const poly::NestId> nests,
                                   std::size_t num_clients,
-                                  const IntraProcessorOptions& options = {});
+                                  std::uint64_t client_cache_bytes);
 
 /// The selection model the intra-processor pass uses: misses per
 /// iteration of an LRU client-cache simulation over a traversal prefix
@@ -50,9 +44,11 @@ double chunk_locality_cost(const poly::Program& program,
                            const poly::IterationOrder& order,
                            std::size_t cache_chunks = 512);
 
-/// The order the intra-processor pass would choose for one nest.
-poly::IterationOrder choose_locality_order(
-    const poly::Program& program, const DataSpace& space,
-    const poly::LoopNest& nest, const IntraProcessorOptions& options);
+/// The order the intra-processor pass would choose for one nest, sized
+/// for a client cache of `client_cache_bytes`.
+poly::IterationOrder choose_locality_order(const poly::Program& program,
+                                           const DataSpace& space,
+                                           const poly::LoopNest& nest,
+                                           std::uint64_t client_cache_bytes);
 
 }  // namespace mlsc::core

@@ -1,13 +1,37 @@
 #include "core/pipeline.h"
 
+#include <algorithm>
 #include <numeric>
 #include <optional>
 
+#include "core/baselines.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "support/check.h"
 
 namespace mlsc::core {
+
+std::string PipelineOptions::name() const {
+  std::string base = mapper_kind_name(mapper);
+  if (schedule) base += "+sched";
+  return base;
+}
+
+namespace {
+
+/// The client cache the intra-processor tiling targets: the capacity the
+/// tree gives its compute nodes (MachineConfig::build_tree puts
+/// client_cache_bytes on each).  A surviving topology zeroes a failed
+/// client's cache, so the largest is taken.
+std::uint64_t client_cache_bytes(const topology::HierarchyTree& tree) {
+  std::uint64_t bytes = 0;
+  for (const topology::NodeId id : tree.clients()) {
+    bytes = std::max(bytes, tree.node(id).cache_capacity_bytes);
+  }
+  return bytes;
+}
+
+}  // namespace
 
 MappingPipeline::MappingPipeline(const topology::HierarchyTree& tree,
                                  PipelineOptions options)
@@ -25,7 +49,7 @@ MappingResult MappingPipeline::run(const poly::Program& program,
       return map_original(program, nests, tree_.num_clients());
     case MapperKind::kIntraProcessor:
       return map_intra_processor(program, space, nests, tree_.num_clients(),
-                                 options_.intra);
+                                 client_cache_bytes(tree_));
     case MapperKind::kInterProcessor:
       break;
   }

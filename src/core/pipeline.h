@@ -10,8 +10,8 @@
 
 #include <optional>
 #include <span>
+#include <string>
 
-#include "core/baselines.h"
 #include "core/data_space.h"
 #include "core/dependences.h"
 #include "core/mapper.h"
@@ -21,6 +21,10 @@
 
 namespace mlsc::core {
 
+/// How to map: which of the paper's three versions (§5.1), plus the
+/// Fig. 15 scheduling switch for the enhanced inter-processor version,
+/// and the knobs of each stage.  The intra-processor version tiles for
+/// the client cache the tree gives its compute nodes.
 struct PipelineOptions {
   MapperKind mapper = MapperKind::kInterProcessor;
 
@@ -35,7 +39,6 @@ struct PipelineOptions {
   DependenceStrategy dependences = DependenceStrategy::kSynchronize;
 
   TaggingOptions tagging;
-  IntraProcessorOptions intra;
 
   /// Clustering kernel selection (greedy oracle vs affinity forest) and
   /// the forest's candidate filters; see ClusterOptions.
@@ -46,6 +49,29 @@ struct PipelineOptions {
   /// mapping produced is bit-identical for every value — parallel stages
   /// reduce in a fixed order — so this is purely a wall-clock knob.
   std::size_t num_threads = 1;
+
+  static PipelineOptions original() {
+    PipelineOptions o;
+    o.mapper = MapperKind::kOriginal;
+    return o;
+  }
+  static PipelineOptions intra() {
+    PipelineOptions o;
+    o.mapper = MapperKind::kIntraProcessor;
+    return o;
+  }
+  static PipelineOptions inter() { return {}; }
+  static PipelineOptions inter_scheduled(double alpha = 0.5,
+                                         double beta = 0.5) {
+    PipelineOptions o;
+    o.schedule = true;
+    o.scheduler = {alpha, beta};
+    return o;
+  }
+
+  /// "original", "intra-processor", "inter-processor", with "+sched"
+  /// appended when the scheduling pass is on.
+  std::string name() const;
 };
 
 class MappingPipeline {

@@ -39,26 +39,6 @@ bool AffineExpr::is_constant() const {
   return true;
 }
 
-bool AffineExpr::is_single_iterator() const {
-  int nonzero = 0;
-  for (std::int64_t c : coeffs_) {
-    if (c == 1) {
-      ++nonzero;
-    } else if (c != 0) {
-      return false;
-    }
-  }
-  return nonzero == 1;
-}
-
-std::size_t AffineExpr::single_iterator_index() const {
-  for (std::size_t k = 0; k < coeffs_.size(); ++k) {
-    if (coeffs_[k] != 0) return k;
-  }
-  MLSC_CHECK(false, "expression has no iterator term: " << to_string());
-  return 0;  // unreachable
-}
-
 AffineExpr AffineExpr::operator+(const AffineExpr& other) const {
   MLSC_CHECK(depth() == other.depth(), "depth mismatch in affine addition");
   std::vector<std::int64_t> coeffs(coeffs_);

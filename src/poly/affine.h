@@ -39,12 +39,6 @@ class AffineExpr {
   /// True when the expression ignores all iterators.
   bool is_constant() const;
 
-  /// True when exactly one coefficient is 1 and the rest are 0.
-  bool is_single_iterator() const;
-
-  /// Index of the unique non-zero coefficient; requires one to exist.
-  std::size_t single_iterator_index() const;
-
   AffineExpr operator+(const AffineExpr& other) const;
   AffineExpr operator-(const AffineExpr& other) const;
   bool operator==(const AffineExpr& other) const = default;

@@ -30,11 +30,11 @@ struct RemapPolicy {
   /// Re-map when a shared level's observed miss rate exceeds the healthy
   /// baseline by this much (absolute).  Checked via drift_exceeded().
   double miss_rate_drift = 0.15;
-
-  /// Downtime charged to every client while the new mapping is
-  /// installed, injected as a stall event at the trigger time.
-  Nanoseconds remap_pause_ns = 500 * kMicrosecond;
 };
+
+/// Downtime charged to every client while a remapped mapping is
+/// installed, injected as a stall event at the trigger time.
+inline constexpr Nanoseconds kRemapPauseNs = 500 * kMicrosecond;
 
 /// Why (and when) a remap fired.
 struct RemapDecision {

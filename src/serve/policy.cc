@@ -18,16 +18,16 @@ const char* remap_scope_name(RemapScope scope) {
   return "?";
 }
 
-Nanoseconds scope_pause(const ServePolicy& policy, RemapScope scope) {
+Nanoseconds scope_pause(RemapScope scope) {
   switch (scope) {
     case RemapScope::kNone:
       return 0;
     case RemapScope::kPatch:
-      return policy.remap.remap_pause_ns / 16;
+      return resilience::kRemapPauseNs / 16;
     case RemapScope::kPartial:
-      return policy.remap.remap_pause_ns / 4;
+      return resilience::kRemapPauseNs / 4;
     case RemapScope::kFull:
-      return policy.remap.remap_pause_ns;
+      return resilience::kRemapPauseNs;
   }
   return 0;
 }
@@ -55,22 +55,21 @@ PolicyVerdict decide_scope(const ServePolicy& policy,
   }
 
   // Projected stall saving of restoring balance: the load excess over
-  // the post-remap target, converted via the per-iteration estimate.
+  // the post-remap target, one virtual nanosecond per iteration.
   const double excess =
       imbalance > policy.full_target_imbalance
           ? imbalance - policy.full_target_imbalance
           : 0.0;
   const auto savings = static_cast<Nanoseconds>(
-      excess * static_cast<double>(inputs.total_iterations) *
-      static_cast<double>(policy.est_iteration_ns));
+      excess * static_cast<double>(inputs.total_iterations));
 
   const bool hysteresis_open =
       !inputs.any_full_yet ||
       inputs.now >= inputs.last_full_at + policy.hysteresis_ns;
-  if (savings > scope_pause(policy, RemapScope::kFull) && hysteresis_open) {
+  if (savings > scope_pause(RemapScope::kFull) && hysteresis_open) {
     reason << (inputs.drift_exceeded ? "drift + " : "")
            << "projected saving " << savings << "ns beats full pause "
-           << scope_pause(policy, RemapScope::kFull) << "ns";
+           << scope_pause(RemapScope::kFull) << "ns";
     return {RemapScope::kFull, reason.str()};
   }
 

@@ -11,7 +11,8 @@
 // The policy picks the cheapest scope whose projected stall savings
 // beat its estimated pause, with hysteresis so borderline drift cannot
 // thrash full recomputes, reusing resilience::RemapPolicy for the
-// miss-rate-drift threshold and the modelled remap pause.
+// miss-rate-drift threshold and resilience::kRemapPauseNs for the
+// modelled remap pause.
 #pragma once
 
 #include <string>
@@ -39,13 +40,8 @@ struct ServePolicy {
   /// cut's slack); the projected saving is the excess over this.
   double full_target_imbalance = 0.10;
 
-  /// Virtual run-length one iteration stands for when projecting stall
-  /// savings from imbalance.
-  Nanoseconds est_iteration_ns = 1;
-
-  /// Shared with the offline remap-on-failure machinery: miss-rate
-  /// drift threshold and the modelled pause of a full remap.  Partial
-  /// remaps are modelled at 1/4 of the pause, patches at 1/16.
+  /// Shared with the offline remap-on-failure machinery: the miss-rate
+  /// drift threshold and the remap-on-failure switch.
   resilience::RemapPolicy remap;
 
   /// A full recompute is not repeated within this window unless forced
@@ -53,8 +49,10 @@ struct ServePolicy {
   Nanoseconds hysteresis_ns = 10 * kMillisecond;
 };
 
-/// The modelled install pause of a scope under `policy`.
-Nanoseconds scope_pause(const ServePolicy& policy, RemapScope scope);
+/// The modelled install pause of a scope: a full remap pauses for
+/// resilience::kRemapPauseNs, a partial one for 1/4 of it, a patch for
+/// 1/16.
+Nanoseconds scope_pause(RemapScope scope);
 
 struct PolicyInputs {
   /// Imbalance if the event were settled with the cheapest scope

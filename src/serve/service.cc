@@ -92,7 +92,11 @@ ServeDecision MappingService::process(const ServeEvent& event) {
       const resilience::FaultSchedule schedule =
           resilience::parse_fault_spec(event.fault_spec);
       const std::size_t alive_before = state_.num_alive_clients();
-      state_.apply_faults(schedule);
+      if (auto rejected = state_.apply_faults(schedule)) {
+        // The state is unchanged: journal the rejection and go on.
+        decision.reason = "rejected: " + *rejected;
+        break;
+      }
       decision.clusters_moved = state_.replace_orphans();
       decision.drift = probe_drift();
       const bool clients_died = state_.num_alive_clients() < alive_before;
@@ -110,7 +114,7 @@ ServeDecision MappingService::process(const ServeEvent& event) {
     }
   }
 
-  decision.pause = scope_pause(options_.policy, decision.scope);
+  decision.pause = scope_pause(decision.scope);
   total_pause_ += decision.pause;
   decision.imbalance_after = state_.imbalance();
   decisions_.push_back(decision);

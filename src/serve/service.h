@@ -69,7 +69,10 @@ class MappingService {
   MappingService& operator=(const MappingService&) = delete;
 
   /// Applies one event end-to-end; throws Error on invalid events
-  /// (unknown depart/scale ids, malformed fault specs).
+  /// (unknown depart/scale ids, malformed fault specs).  A fault the
+  /// state rejects (an absent target, or no client left alive) changes
+  /// nothing and is journaled with scope none and a reason beginning
+  /// "rejected:".
   ServeDecision process(const ServeEvent& event);
 
   /// Processes every event, then writes the final snapshot and

@@ -575,18 +575,23 @@ void MappingState::rebuild_all(ThreadPool* pool, DeltaStats* stats) {
 // ---------------------------------------------------------------------------
 // Faults
 
-void MappingState::apply_faults(const resilience::FaultSchedule& schedule) {
+std::optional<std::string> MappingState::apply_faults(
+    const resilience::FaultSchedule& schedule) {
   // Check the whole batch against the merged history before anything is
   // committed: a fail-stop or degrade of an absent node, or a batch that
   // leaves no alive client, is rejected and changes nothing.
   resilience::FaultSchedule merged = faults_;
   for (const resilience::FaultEvent& ev : schedule.events) {
-    if (ev.kind == resilience::FaultKind::kRecover) {
-      // A recover of a node the machine lacks heals nothing: not merged.
+    const bool targeted = ev.kind == resilience::FaultKind::kFailStop ||
+                          ev.kind == resilience::FaultKind::kDegrade ||
+                          ev.kind == resilience::FaultKind::kRecover;
+    if (targeted) {
       try {
         resolve_fault_targets(tree_, ev);
-      } catch (const Error&) {
-        continue;
+      } catch (const Error& e) {
+        // A recover of a node the machine lacks heals nothing: not merged.
+        if (ev.kind == resilience::FaultKind::kRecover) continue;
+        return std::string(e.what());
       }
     }
     merged.add(ev);
@@ -600,10 +605,11 @@ void MappingState::apply_faults(const resilience::FaultSchedule& schedule) {
     alive[rank] = !end.failed(tree_.clients()[rank]);
   }
   if (std::none_of(alive.begin(), alive.end(), [](bool a) { return a; })) {
-    throw Error("fault leaves no alive client to place on");
+    return std::string("fault leaves no alive client to place on");
   }
   faults_ = std::move(merged);
   client_alive_ = std::move(alive);
+  return std::nullopt;
 }
 
 std::size_t MappingState::replace_orphans() {

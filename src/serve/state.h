@@ -32,6 +32,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -177,9 +178,11 @@ class MappingState {
   /// client liveness (a client whose compute node the history's end
   /// state holds failed is dead).  The batch is checked first: a
   /// fail-stop or degrade of an absent node, or a batch that leaves no
-  /// alive client, throws Error and changes nothing; a recover of an
-  /// absent node is a no-op and is not merged.
-  void apply_faults(const resilience::FaultSchedule& schedule);
+  /// alive client, is rejected — the reason is returned and nothing
+  /// changes; a recover of an absent node is a no-op and is not merged.
+  /// Returns nullopt when the batch was applied.
+  [[nodiscard]] std::optional<std::string> apply_faults(
+      const resilience::FaultSchedule& schedule);
   /// Re-places clusters stranded on dead clients, least-loaded-first;
   /// returns how many moved.
   std::size_t replace_orphans();

@@ -9,12 +9,6 @@
 
 namespace mlsc::sim {
 
-std::string SchemeSpec::name() const {
-  std::string base = core::mapper_kind_name(mapper);
-  if (schedule) base += "+sched";
-  return base;
-}
-
 void ExperimentResult::report(std::ostream& out) const {
   out << workload << " / " << scheme << ": miss rates L1 "
       << l1_miss_rate * 100 << "% L2 " << l2_miss_rate * 100 << "% L3 "
@@ -22,32 +16,15 @@ void ExperimentResult::report(std::ostream& out) const {
       << ", execution time " << format_time(exec_time) << "\n";
 }
 
-core::PipelineOptions pipeline_options(const SchemeSpec& scheme,
-                                       const MachineConfig& config) {
-  core::PipelineOptions options;
-  options.mapper = scheme.mapper;
-  options.balance_threshold = scheme.balance_threshold;
-  options.schedule = scheme.schedule;
-  options.scheduler = scheme.scheduler;
-  options.tagging = scheme.tagging;
-  options.dependences = scheme.dependences;
-  options.clustering = scheme.clustering;
-  options.num_threads = scheme.num_threads;
-  options.intra.client_cache_bytes = config.client_cache_bytes;
-  return options;
-}
-
 ExperimentResult run_experiment(const workloads::Workload& workload,
-                                const SchemeSpec& scheme,
+                                const core::PipelineOptions& scheme,
                                 const MachineConfig& config,
                                 const ResilienceSpec* resilience) {
   const auto tree = config.build_tree();
   const core::DataSpace space(workload.program, config.chunk_size_bytes);
 
-  const core::PipelineOptions options = pipeline_options(scheme, config);
-
   ExperimentResult result;
-  core::MappingPipeline pipeline(tree, options);
+  core::MappingPipeline pipeline(tree, scheme);
   auto mapping = pipeline.run_all(workload.program, space);
 
   // Degraded replay: decide up front whether the schedule's failures
@@ -61,12 +38,12 @@ ExperimentResult run_experiment(const workloads::Workload& workload,
         resilience::decide_remap(resilience->remap, schedule, tree);
     if (decision.triggered) {
       const auto surviving = resilience::surviving_topology(tree, schedule);
-      mapping = resilience::remap_mapping(surviving, schedule, options,
+      mapping = resilience::remap_mapping(surviving, schedule, scheme,
                                           workload.program, space);
       resilience::FaultEvent pause;
       pause.kind = resilience::FaultKind::kStall;
       pause.at = decision.at;
-      pause.duration = resilience->remap.remap_pause_ns;
+      pause.duration = resilience::kRemapPauseNs;
       schedule.add(pause);
       result.remapped = true;
       result.remap_reason = decision.reason;

@@ -20,53 +20,6 @@
 
 namespace mlsc::sim {
 
-/// Which of the paper's three versions to run (§5.1), plus the Fig. 15
-/// scheduling switch for the enhanced inter-processor version.
-struct SchemeSpec {
-  core::MapperKind mapper = core::MapperKind::kInterProcessor;
-  bool schedule = false;
-  core::SchedulerOptions scheduler;
-  double balance_threshold = 0.10;
-  core::TaggingOptions tagging;
-  core::DependenceStrategy dependences =
-      core::DependenceStrategy::kSynchronize;
-
-  /// Clustering kernel selection and candidate filters
-  /// (core::PipelineOptions::clustering); the kAuto default keeps
-  /// paper-scale workloads on the greedy oracle kernel.
-  core::ClusterOptions clustering;
-
-  /// Mapping-stage threads (core::PipelineOptions::num_threads): 1 =
-  /// serial, 0 = hardware concurrency.  Mappings are bit-identical for
-  /// every value; this only changes mapping wall-clock time.
-  std::size_t num_threads = 1;
-
-  static SchemeSpec original() {
-    SchemeSpec s;
-    s.mapper = core::MapperKind::kOriginal;
-    return s;
-  }
-  static SchemeSpec intra() {
-    SchemeSpec s;
-    s.mapper = core::MapperKind::kIntraProcessor;
-    return s;
-  }
-  static SchemeSpec inter() {
-    SchemeSpec s;
-    s.mapper = core::MapperKind::kInterProcessor;
-    return s;
-  }
-  static SchemeSpec inter_scheduled(double alpha = 0.5, double beta = 0.5) {
-    SchemeSpec s;
-    s.mapper = core::MapperKind::kInterProcessor;
-    s.schedule = true;
-    s.scheduler = {alpha, beta};
-    return s;
-  }
-
-  std::string name() const;
-};
-
 /// Degraded-mode replay: a fault schedule plus the retry and remap
 /// policies governing how the run copes with it.
 struct ResilienceSpec {
@@ -75,7 +28,7 @@ struct ResilienceSpec {
   /// remap.remap_on_failure selects between plain degraded replay and
   /// remap-on-failure: when a fail-stop is scheduled, the mapping is
   /// recomputed over the surviving topology and the run is charged
-  /// remap.remap_pause_ns of downtime at the trigger time.
+  /// resilience::kRemapPauseNs of downtime at the trigger time.
   resilience::RemapPolicy remap{.remap_on_failure = false};
 };
 
@@ -123,19 +76,12 @@ struct ExperimentResult {
   void report(std::ostream& out) const;
 };
 
-/// The mapping-pipeline options a scheme runs with on `config` (every
-/// SchemeSpec field, plus the client cache the intra-processor tiling
-/// sizes against).  run_experiment and mlsc_map's mapping reports both
-/// use it.
-core::PipelineOptions pipeline_options(const SchemeSpec& scheme,
-                                       const MachineConfig& config);
-
 /// Runs one (workload, scheme, machine) experiment.  `resilience`
 /// (optional) replays the run under its fault schedule; with
 /// remap-on-failure enabled the mapping is recomputed over the surviving
 /// topology and the remap's downtime is charged as a stall.
 ExperimentResult run_experiment(const workloads::Workload& workload,
-                                const SchemeSpec& scheme,
+                                const core::PipelineOptions& scheme,
                                 const MachineConfig& config,
                                 const ResilienceSpec* resilience = nullptr);
 

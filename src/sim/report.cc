@@ -221,11 +221,12 @@ Table comparison_table(const std::vector<ExperimentResult>& results) {
 std::vector<ExperimentResult> run_all_schemes(
     const workloads::Workload& workload, const MachineConfig& config) {
   std::vector<ExperimentResult> results;
-  results.push_back(run_experiment(workload, SchemeSpec::original(), config));
-  results.push_back(run_experiment(workload, SchemeSpec::intra(), config));
-  results.push_back(run_experiment(workload, SchemeSpec::inter(), config));
-  results.push_back(
-      run_experiment(workload, SchemeSpec::inter_scheduled(), config));
+  for (const core::PipelineOptions& scheme :
+       {core::PipelineOptions::original(), core::PipelineOptions::intra(),
+        core::PipelineOptions::inter(),
+        core::PipelineOptions::inter_scheduled()}) {
+    results.push_back(run_experiment(workload, scheme, config));
+  }
   return results;
 }
 

@@ -16,51 +16,23 @@ struct ItemBuffer {
   Nanoseconds compute_ns = 0;
 };
 
-/// Emits one iteration's accesses into `buffer`, suppressing references
-/// whose chunk span did not change since the previous iteration.
-class IterationEmitter {
- public:
-  IterationEmitter(const poly::Program& program, const core::DataSpace& space,
-                   const poly::LoopNest& nest, bool buffer_repeats)
-      : program_(program),
-        space_(space),
-        nest_(nest),
-        buffer_repeats_(buffer_repeats) {
-    reset();
-  }
-
-  void reset() {
-    last_spans_.assign(nest_.refs.size(),
-                       core::DataSpace::ChunkSpan{UINT32_MAX, 0});
-  }
-
-  void emit(std::span<const std::int64_t> iter, ItemBuffer& buffer) {
-    std::uint32_t count = 0;
-    for (std::size_t r = 0; r < nest_.refs.size(); ++r) {
-      const auto& ref = nest_.refs[r];
-      const std::uint64_t flat = poly::resolve_element(program_, ref, iter);
-      const auto span = space_.element_chunks(ref.array, flat);
-      if (buffer_repeats_ && span.first == last_spans_[r].first &&
-          span.last == last_spans_[r].last) {
-        continue;  // element still buffered in application memory
-      }
-      last_spans_[r] = span;
-      for (core::ChunkId c = span.first; c <= span.last; ++c) {
-        buffer.accesses.push_back(Access{c, ref.is_write});
-        ++count;
-      }
+/// Emits one iteration's accesses into `buffer`: every chunk each
+/// reference's element covers, in reference order.
+void emit_iteration(const poly::Program& program,
+                    const core::DataSpace& space, const poly::LoopNest& nest,
+                    std::span<const std::int64_t> iter, ItemBuffer& buffer) {
+  std::uint32_t count = 0;
+  for (const poly::ArrayRef& ref : nest.refs) {
+    const std::uint64_t flat = poly::resolve_element(program, ref, iter);
+    const auto span = space.element_chunks(ref.array, flat);
+    for (core::ChunkId c = span.first; c <= span.last; ++c) {
+      buffer.accesses.push_back(Access{c, ref.is_write});
+      ++count;
     }
-    MLSC_CHECK(count <= 255, "iteration touches more than 255 chunks");
-    buffer.per_iteration.push_back(static_cast<std::uint8_t>(count));
   }
-
- private:
-  const poly::Program& program_;
-  const core::DataSpace& space_;
-  const poly::LoopNest& nest_;
-  bool buffer_repeats_ = false;
-  std::vector<core::DataSpace::ChunkSpan> last_spans_;
-};
+  MLSC_CHECK(count <= 255, "iteration touches more than 255 chunks");
+  buffer.per_iteration.push_back(static_cast<std::uint8_t>(count));
+}
 
 }  // namespace
 
@@ -72,8 +44,7 @@ std::uint64_t Trace::total_accesses() const {
 
 Trace generate_trace(const poly::Program& program,
                      const core::DataSpace& space,
-                     const core::MappingResult& mapping,
-                     const TraceOptions& options) {
+                     const core::MappingResult& mapping) {
   const std::size_t num_clients = mapping.num_clients();
   // buffers[client][item] mirrors mapping.client_work.
   std::vector<std::vector<ItemBuffer>> buffers(num_clients);
@@ -101,12 +72,10 @@ Trace generate_trace(const poly::Program& program,
       const core::WorkItem& item = mapping.client_work[c][k];
       const poly::LoopNest& nest = program.nest(item.nest);
       if (item.order.is_identity()) {
-        IterationEmitter emitter(program, space, nest,
-                                 options.buffer_repeats);
         for (const auto& range : item.ranges) {
           poly::Iteration iter = nest.space.delinearize(range.begin);
           for (std::uint64_t rank = range.begin; rank < range.end; ++rank) {
-            emitter.emit(iter, buffers[c][k]);
+            emit_iteration(program, space, nest, iter, buffers[c][k]);
             if (rank + 1 < range.end) {
               MLSC_CHECK(nest.space.advance(iter), "walk ran off the space");
             }
@@ -136,10 +105,8 @@ Trace generate_trace(const poly::Program& program,
                 return a.range.begin < b.range.begin;
               });
     const poly::LoopNest& nest = program.nest(nest_id);
-    IterationEmitter emitter(program, space, nest, options.buffer_repeats);
     poly::OrderWalker walker(nest.space, order);
     std::size_t block = 0;
-    std::size_t last_block = SIZE_MAX;
     while (!walker.done() && block < blocks.size()) {
       const std::uint64_t pos = walker.position();
       if (pos >= blocks[block].range.end) {
@@ -147,12 +114,8 @@ Trace generate_trace(const poly::Program& program,
         continue;
       }
       if (pos >= blocks[block].range.begin) {
-        if (block != last_block) {
-          emitter.reset();  // new item: application buffer starts cold
-          last_block = block;
-        }
-        emitter.emit(walker.current(),
-                     buffers[blocks[block].client][blocks[block].item]);
+        emit_iteration(program, space, nest, walker.current(),
+                       buffers[blocks[block].client][blocks[block].item]);
       }
       walker.next();
     }

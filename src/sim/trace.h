@@ -48,21 +48,11 @@ struct Trace {
   std::uint64_t total_accesses() const;
 };
 
-struct TraceOptions {
-  /// When true, a reference whose chunk span is unchanged from the
-  /// previous iteration of the same item is suppressed — modelling an
-  /// application that buffers the current element in user memory.  The
-  /// paper's platform issues one I/O request per reference (MPI-IO reads
-  /// each element on use), so the default is false.
-  bool buffer_repeats = false;
-};
-
 /// Expands a mapping into traces.  Identity-order items enumerate their
 /// rank ranges directly; permuted/tiled items are produced by one shared
 /// walk per (nest, order) so the cost stays linear in the nest size.
 Trace generate_trace(const poly::Program& program,
                      const core::DataSpace& space,
-                     const core::MappingResult& mapping,
-                     const TraceOptions& options = {});
+                     const core::MappingResult& mapping);
 
 }  // namespace mlsc::sim

@@ -1,49 +1,10 @@
 #include "support/stats.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "support/check.h"
 
 namespace mlsc {
-
-void RunningStats::add(double x) {
-  ++count_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-  if (count_ == 1) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-}
-
-double RunningStats::variance() const {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-double mean_of(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
-  double sum = 0.0;
-  for (double v : values) sum += v;
-  return sum / static_cast<double>(values.size());
-}
-
-double geomean_of(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
-  double log_sum = 0.0;
-  for (double v : values) {
-    MLSC_CHECK(v > 0.0, "geomean requires positive values, got " << v);
-    log_sum += std::log(v);
-  }
-  return std::exp(log_sum / static_cast<double>(values.size()));
-}
 
 QuantileRank quantile_rank(std::size_t count, double p) {
   MLSC_CHECK(count > 0, "quantile rank of an empty population");
@@ -65,11 +26,6 @@ double percentile_of(std::vector<double> values, double p) {
   const QuantileRank r = quantile_rank(values.size(), p);
   const std::size_t hi = std::min(r.index + 1, values.size() - 1);
   return lerp(values[r.index], values[hi], r.fraction);
-}
-
-double percent_improvement(double a, double b) {
-  if (a == 0.0) return 0.0;
-  return 100.0 * (a - b) / a;
 }
 
 }  // namespace mlsc

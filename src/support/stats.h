@@ -1,38 +1,10 @@
-// Small statistics helpers used by the metrics and benchmark layers.
+// Percentile arithmetic shared by obs::Histogram and percentile_of.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 namespace mlsc {
-
-/// Streaming accumulator for count/mean/variance/min/max (Welford).
-class RunningStats {
- public:
-  void add(double x);
-
-  std::size_t count() const { return count_; }
-  double mean() const { return count_ == 0 ? 0.0 : mean_; }
-  double variance() const;
-  double stddev() const;
-  double min() const { return count_ == 0 ? 0.0 : min_; }
-  double max() const { return count_ == 0 ? 0.0 : max_; }
-  double sum() const { return sum_; }
-
- private:
-  std::size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
-
-/// Arithmetic mean of a vector; 0 for an empty vector.
-double mean_of(const std::vector<double>& values);
-
-/// Geometric mean; all values must be positive.
-double geomean_of(const std::vector<double>& values);
 
 /// Linear-interpolated percentile, p in [0, 100].
 double percentile_of(std::vector<double> values, double p);
@@ -51,9 +23,5 @@ QuantileRank quantile_rank(std::size_t count, double p);
 
 /// Linear interpolation between lo and hi; frac in [0, 1].
 double lerp(double lo, double hi, double frac);
-
-/// Ratio of populations expressed as "percent improvement of b over a":
-/// 100 * (a - b) / a.  Returns 0 when a == 0.
-double percent_improvement(double a, double b);
 
 }  // namespace mlsc

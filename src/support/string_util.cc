@@ -36,16 +36,6 @@ std::string format_double(double value, int precision) {
   return buf.data();
 }
 
-std::string pad_left(const std::string& s, std::size_t width) {
-  if (s.size() >= width) return s;
-  return std::string(width - s.size(), ' ') + s;
-}
-
-std::string pad_right(const std::string& s, std::size_t width) {
-  if (s.size() >= width) return s;
-  return s + std::string(width - s.size(), ' ');
-}
-
 namespace {
 
 /// Length of the valid UTF-8 sequence starting at s[i], or 0 when the

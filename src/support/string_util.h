@@ -18,10 +18,6 @@ std::vector<std::string> split(const std::string& s, char delim);
 /// printf-style float formatting, e.g. format_double(0.12345, 3) == "0.123".
 std::string format_double(double value, int precision);
 
-/// Left-pads / right-pads to a width with spaces.
-std::string pad_left(const std::string& s, std::size_t width);
-std::string pad_right(const std::string& s, std::size_t width);
-
 /// Writes `s` as a JSON string literal: quoted, with quotes, backslashes
 /// and all control characters (U+0000..U+001F) escaped.  The shared
 /// emitter behind Table::print_json, the bench JSON documents and the

@@ -87,36 +87,6 @@ std::vector<NodeId> HierarchyTree::path_to_root(NodeId id) const {
   return path;
 }
 
-NodeId HierarchyTree::deepest_shared_cache(NodeId client_a,
-                                           NodeId client_b) const {
-  MLSC_CHECK(client_a < nodes_.size() && client_b < nodes_.size(),
-             "unknown client node");
-  if (client_a == client_b) {
-    // A client trivially shares every cache on its own path; report the
-    // deepest one (its private cache if it has one).
-    for (NodeId cur : path_to_root(client_a)) {
-      if (nodes_[cur].cache_capacity_bytes > 0) return cur;
-    }
-    return kInvalidNode;
-  }
-  const auto path_a = path_to_root(client_a);
-  const auto path_b = path_to_root(client_b);
-  // Walk a's path leaf-to-root and find the first node on b's path too.
-  for (NodeId candidate : path_a) {
-    if (std::find(path_b.begin(), path_b.end(), candidate) != path_b.end()) {
-      // candidate is the LCA; the deepest shared cache is the first
-      // cached node from the LCA upward.
-      NodeId cur = candidate;
-      while (cur != kInvalidNode) {
-        if (nodes_[cur].cache_capacity_bytes > 0) return cur;
-        cur = nodes_[cur].parent;
-      }
-      return kInvalidNode;
-    }
-  }
-  return kInvalidNode;
-}
-
 void HierarchyTree::finalize() {
   MLSC_CHECK(!finalized_, "tree already finalized");
   levels_.assign(num_levels_, {});

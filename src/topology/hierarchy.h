@@ -66,17 +66,6 @@ class HierarchyTree {
   /// Node ids from a node up to and including the root.
   std::vector<NodeId> path_to_root(NodeId id) const;
 
-  /// Deepest node (greatest level) that is an ancestor of both clients
-  /// and carries a cache — the cache where the two clients have
-  /// "affinity" in the paper's sense.  Returns kInvalidNode when no
-  /// shared cache exists.
-  NodeId deepest_shared_cache(NodeId client_a, NodeId client_b) const;
-
-  /// True when the two clients have affinity at some storage cache.
-  bool have_affinity(NodeId client_a, NodeId client_b) const {
-    return deepest_shared_cache(client_a, client_b) != kInvalidNode;
-  }
-
   /// Must be called after construction completes: orders clients, indexes
   /// levels, and checks that all leaves are compute nodes at equal depth.
   void finalize();
@@ -85,7 +74,7 @@ class HierarchyTree {
   /// Changes a node's cache capacity after finalization (fault injection:
   /// a fail-stopped node carries no cache in the surviving topology).
   /// The tree shape, client ranks and level indexes are untouched, so
-  /// mappings stay addressable; affinity queries see the new capacity.
+  /// mappings stay addressable; the mapper sees the new capacity.
   void set_cache_capacity(NodeId id, std::uint64_t bytes);
 
   /// Multi-line rendering of the tree for diagnostics.

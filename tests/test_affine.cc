@@ -20,8 +20,6 @@ TEST(AffineExpr, Builders) {
   EXPECT_EQ(c.evaluate(iter), 7);
 
   const auto it = AffineExpr::iterator(3, 1, -1);
-  EXPECT_TRUE(it.is_single_iterator());
-  EXPECT_EQ(it.single_iterator_index(), 1u);
   EXPECT_EQ(it.evaluate(iter), 1);
 }
 

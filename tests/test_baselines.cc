@@ -4,6 +4,7 @@
 
 #include "poly/dependence.h"
 #include "support/check.h"
+#include "support/units.h"
 
 namespace mlsc::core {
 namespace {
@@ -65,9 +66,8 @@ TEST(LocalityModel, PermutationFixesTransposedAccess) {
 TEST(IntraProcessor, ChoosesBetterThanIdentity) {
   const auto p = transposed_program();
   const DataSpace space(p, 64 * 1024);
-  IntraProcessorOptions options;
-  options.client_cache_bytes = 8 * 64 * 1024;  // 8-chunk model cache
-  const auto order = choose_locality_order(p, space, p.nest(0), options);
+  const auto order = choose_locality_order(p, space, p.nest(0),
+                                           8 * 64 * 1024);  // 8 chunks
   const double chosen = chunk_locality_cost(p, space, p.nest(0), order, 8);
   const double identity = chunk_locality_cost(
       p, space, p.nest(0), poly::IterationOrder::identity(2), 8);
@@ -79,7 +79,7 @@ TEST(IntraProcessor, MappingPartitionsTransformedSpace) {
   const auto p = transposed_program();
   const DataSpace space(p, 64 * 1024);
   const std::vector<poly::NestId> nests{0};
-  const auto m = map_intra_processor(p, space, nests, 4);
+  const auto m = map_intra_processor(p, space, nests, 4, 32 * kMiB);
   EXPECT_EQ(m.kind, MapperKind::kIntraProcessor);
   m.validate_partition(p);
 }
@@ -99,7 +99,7 @@ TEST(IntraProcessor, LegalityBlocksReorderingDependentLoops) {
   };
   p.add_nest(std::move(nest));
   const DataSpace space(p, 64 * 1024);
-  const auto order = choose_locality_order(p, space, p.nest(0), {});
+  const auto order = choose_locality_order(p, space, p.nest(0), 32 * kMiB);
   // Identity is the only legal permutation (t must stay outer), and the
   // negative-free... the dependence (1, 0) blocks tiling too? No: all
   // components are >= 0, so tiling is allowed; the permutation moving t
@@ -122,7 +122,7 @@ TEST(IntraProcessor, NegativeDistanceBlocksTiling) {
   };
   p.add_nest(std::move(nest));
   const DataSpace space(p, 64 * 1024);
-  const auto order = choose_locality_order(p, space, p.nest(0), {});
+  const auto order = choose_locality_order(p, space, p.nest(0), 32 * kMiB);
   for (std::int64_t tile : order.tile_sizes) {
     EXPECT_EQ(tile, 1) << "tiling must be rejected as illegal";
   }

@@ -20,7 +20,7 @@ namespace mlsc {
 namespace {
 
 using sim::MachineConfig;
-using sim::SchemeSpec;
+using core::PipelineOptions;
 
 /// Brute-force exclusive reuse distance: the number of *distinct* chunks
 /// touched since the previous access to `chunk`, via an explicit LRU
@@ -239,7 +239,7 @@ TEST(CacheInsight, PartitionAndCurveHoldForEveryRegistryWorkload) {
     SCOPED_TRACE(name);
     const auto workload = workloads::make_workload(name, 1.0 / 16.0);
     const auto result =
-        sim::run_experiment(workload, SchemeSpec::inter(), config);
+        sim::run_experiment(workload, PipelineOptions::inter(), config);
     expect_insight_invariants(result);
   }
 }
@@ -251,7 +251,7 @@ TEST(CacheInsight, PartitionAndCurveHoldAtPaperTopology) {
   config.explain = true;
   const auto workload = workloads::make_workload("sar", 1.0 / 16.0);
   const auto result =
-      sim::run_experiment(workload, SchemeSpec::original(), config);
+      sim::run_experiment(workload, PipelineOptions::original(), config);
   expect_insight_invariants(result);
 }
 
@@ -260,7 +260,7 @@ TEST(CacheInsight, DisabledByDefaultAndEmpty) {
   config.explain = false;
   const auto workload = workloads::make_workload("hf", 1.0 / 16.0);
   const auto result =
-      sim::run_experiment(workload, SchemeSpec::inter(), config);
+      sim::run_experiment(workload, PipelineOptions::inter(), config);
   EXPECT_TRUE(result.engine.insight.empty());
 }
 
@@ -270,9 +270,9 @@ TEST(CacheInsight, DisabledByDefaultAndEmpty) {
 TEST(CacheInsight, ResultIsIdenticalAtAnyThreadCount) {
   const MachineConfig config = small_machine();
   const auto workload = workloads::make_workload("astro", 1.0 / 16.0);
-  SchemeSpec serial = SchemeSpec::inter();
+  PipelineOptions serial = PipelineOptions::inter();
   serial.num_threads = 1;
-  SchemeSpec parallel = SchemeSpec::inter();
+  PipelineOptions parallel = PipelineOptions::inter();
   parallel.num_threads = 4;
   const auto a = sim::run_experiment(workload, serial, config);
   const auto b = sim::run_experiment(workload, parallel, config);

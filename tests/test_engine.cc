@@ -160,8 +160,10 @@ TEST(Experiment, RunsEndToEndOnTinyWorkload) {
   config.client_cache_bytes = 2 * kMiB;
   config.io_cache_bytes = 2 * kMiB;
   config.storage_cache_bytes = 2 * kMiB;
-  const auto orig = run_experiment(workload, SchemeSpec::original(), config);
-  const auto inter = run_experiment(workload, SchemeSpec::inter(), config);
+  const auto orig =
+      run_experiment(workload, core::PipelineOptions::original(), config);
+  const auto inter =
+      run_experiment(workload, core::PipelineOptions::inter(), config);
   EXPECT_GT(orig.exec_time, 0u);
   EXPECT_GT(orig.l1_miss_rate, 0.0);
   EXPECT_LE(orig.l1_miss_rate, 1.0);
@@ -170,10 +172,11 @@ TEST(Experiment, RunsEndToEndOnTinyWorkload) {
 }
 
 TEST(Experiment, SchemeNames) {
-  EXPECT_EQ(SchemeSpec::original().name(), "original");
-  EXPECT_EQ(SchemeSpec::intra().name(), "intra-processor");
-  EXPECT_EQ(SchemeSpec::inter().name(), "inter-processor");
-  EXPECT_EQ(SchemeSpec::inter_scheduled().name(), "inter-processor+sched");
+  EXPECT_EQ(core::PipelineOptions::original().name(), "original");
+  EXPECT_EQ(core::PipelineOptions::intra().name(), "intra-processor");
+  EXPECT_EQ(core::PipelineOptions::inter().name(), "inter-processor");
+  EXPECT_EQ(core::PipelineOptions::inter_scheduled().name(),
+            "inter-processor+sched");
 }
 
 }  // namespace

@@ -147,8 +147,9 @@ TEST(Irregular, InterBeatsOriginalOnSharedNodes) {
   // mapping has nothing to win.
   const auto w = workloads::make_irregular();
   const auto config = MachineConfig::paper_default();
-  const auto orig = run_experiment(w, SchemeSpec::original(), config);
-  const auto inter = run_experiment(w, SchemeSpec::inter(), config);
+  const auto orig =
+      run_experiment(w, core::PipelineOptions::original(), config);
+  const auto inter = run_experiment(w, core::PipelineOptions::inter(), config);
   EXPECT_LT(inter.engine.disk_requests, orig.engine.disk_requests);
   EXPECT_LT(inter.io_latency, orig.io_latency);
 }

@@ -49,36 +49,6 @@ TEST(Hierarchy, ClientRankMatchesLeafOrder) {
   }
 }
 
-TEST(Hierarchy, AffinityAtSharedCaches) {
-  const auto tree = fig7_tree();
-  const NodeId cn0 = tree.clients()[0];
-  const NodeId cn1 = tree.clients()[1];
-  const NodeId cn2 = tree.clients()[2];
-  // CN0 and CN1 share IO0's cache (their LCA).
-  const NodeId shared01 = tree.deepest_shared_cache(cn0, cn1);
-  EXPECT_EQ(tree.node(shared01).kind, NodeKind::kIo);
-  // CN0 and CN2 only share the storage node cache.
-  const NodeId shared02 = tree.deepest_shared_cache(cn0, cn2);
-  EXPECT_EQ(tree.node(shared02).kind, NodeKind::kStorage);
-  EXPECT_TRUE(tree.have_affinity(cn0, cn2));
-}
-
-TEST(Hierarchy, SelfAffinityIsPrivateCache) {
-  const auto tree = fig7_tree();
-  const NodeId cn0 = tree.clients()[0];
-  EXPECT_EQ(tree.deepest_shared_cache(cn0, cn0), cn0);
-}
-
-TEST(Hierarchy, NoSharedCacheWithoutCapacities) {
-  // Clients with caches only at the client level share nothing.
-  HierarchyTree tree(NodeKind::kStorage, 0, "SN0");
-  const auto io = tree.add_child(tree.root(), NodeKind::kIo, 0, "IO0");
-  const auto a = tree.add_child(io, NodeKind::kCompute, 8, "CN0");
-  const auto b = tree.add_child(io, NodeKind::kCompute, 8, "CN1");
-  tree.finalize();
-  EXPECT_FALSE(tree.have_affinity(a, b));
-}
-
 TEST(Hierarchy, PathToRoot) {
   const auto tree = fig7_tree();
   const auto path = tree.path_to_root(tree.clients()[3]);

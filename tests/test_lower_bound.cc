@@ -223,7 +223,7 @@ TEST(Movement, BoundNeverExceedsMeasuredBytesOnRegistry) {
     SCOPED_TRACE(name);
     const auto workload = workloads::make_workload(name, 1.0 / 16.0);
     const auto result =
-        sim::run_experiment(workload, sim::SchemeSpec::inter(), config);
+        sim::run_experiment(workload, core::PipelineOptions::inter(), config);
 
     ASSERT_EQ(result.movement.size(), 3u);
     const auto& bytes = result.engine.bytes;

@@ -233,7 +233,7 @@ TEST(Metrics, CacheCountersMatchEngineResult) {
 
   const auto workload = workloads::make_workload("hf", 0.0625);
   const auto result =
-      sim::run_experiment(workload, sim::SchemeSpec::inter(), config);
+      sim::run_experiment(workload, core::PipelineOptions::inter(), config);
   const auto& engine = result.engine;
 
   auto& registry = obs::Registry::global();

@@ -247,7 +247,7 @@ TEST(ParallelEquivalence, FaultedReplayIsThreadCountInvariant) {
         "fail@1ms:l2.0; transient@0:disk=0.02,net=0.001; seed=2010");
     resilience.remap.remap_on_failure = remap;
 
-    auto scheme = sim::SchemeSpec::inter();
+    auto scheme = core::PipelineOptions::inter();
     scheme.num_threads = 1;
     const auto serial =
         sim::run_experiment(workload, scheme, config, &resilience);

@@ -22,40 +22,18 @@ MachineConfig small_machine() {
   return config;
 }
 
-TEST(SchemeSpec, PipelineOptionsCarryEveryField) {
-  SchemeSpec scheme = SchemeSpec::inter_scheduled(0.25, 0.75);
-  scheme.balance_threshold = 0.2;
-  scheme.tagging.max_iteration_chunks = 123;
-  scheme.dependences = core::DependenceStrategy::kMergeClusters;
-  scheme.clustering.algorithm = core::ClusterOptions::Algorithm::kForest;
-  scheme.num_threads = 3;
-  MachineConfig config = small_machine();
-  config.client_cache_bytes = 1 * kMiB;
-  const core::PipelineOptions options = pipeline_options(scheme, config);
-  EXPECT_EQ(options.mapper, scheme.mapper);
-  EXPECT_TRUE(options.schedule);
-  EXPECT_EQ(options.scheduler.alpha, 0.25);
-  EXPECT_EQ(options.scheduler.beta, 0.75);
-  EXPECT_EQ(options.balance_threshold, 0.2);
-  EXPECT_EQ(options.tagging.max_iteration_chunks, 123u);
-  EXPECT_EQ(options.dependences, core::DependenceStrategy::kMergeClusters);
-  EXPECT_EQ(options.clustering.algorithm,
-            core::ClusterOptions::Algorithm::kForest);
-  EXPECT_EQ(options.num_threads, 3u);
-  EXPECT_EQ(options.intra.client_cache_bytes, 1 * kMiB);
-}
-
-TEST(SchemeSpec, IntraTilingFollowsTheClientCache) {
-  // The intra-processor scheme tiles for the client cache it is given:
-  // hf's emitted client code at 1 MiB is not the 32 MiB code.
+TEST(PipelineOptions, IntraTilingFollowsTheClientCache) {
+  // The intra-processor scheme tiles for the client cache of the tree it
+  // maps onto: hf's emitted client code on a machine with 1 MiB client
+  // caches is not the code for 32 MiB ones.
   const auto workload = workloads::make_workload("hf", 1.0 / 16.0);
   const auto client_code = [&](std::uint64_t cache_bytes) {
     MachineConfig config = small_machine();
     config.client_cache_bytes = cache_bytes;
     const auto tree = config.build_tree();
     const core::DataSpace space(workload.program, config.chunk_size_bytes);
-    const core::MappingPipeline pipeline(
-        tree, pipeline_options(SchemeSpec::intra(), config));
+    const core::MappingPipeline pipeline(tree,
+                                         core::PipelineOptions::intra());
     return core::emit_all_clients_source(
         workload.program, pipeline.run_all(workload.program, space));
   };
@@ -65,7 +43,8 @@ TEST(SchemeSpec, IntraTilingFollowsTheClientCache) {
 TEST(Report, SingleExperimentRendersEverySection) {
   const auto workload = workloads::make_workload("astro", 1.0 / 16.0);
   const auto config = small_machine();
-  const auto result = run_experiment(workload, SchemeSpec::inter(), config);
+  const auto result =
+      run_experiment(workload, core::PipelineOptions::inter(), config);
   std::ostringstream out;
   write_report(out, result, config);
   const auto text = out.str();
@@ -78,7 +57,8 @@ TEST(Report, SingleExperimentRendersEverySection) {
 TEST(Report, StallBreakdownSumsToIoTime) {
   const auto workload = workloads::make_workload("hf", 1.0 / 16.0);
   const auto config = small_machine();
-  const auto r = run_experiment(workload, SchemeSpec::original(), config);
+  const auto r =
+      run_experiment(workload, core::PipelineOptions::original(), config);
   const auto& e = r.engine;
   EXPECT_EQ(e.time_client_cache + e.time_shared_cache + e.time_peer_cache +
                 e.time_disk + e.time_retry + e.time_failover,
@@ -90,8 +70,8 @@ TEST(Report, ComparisonNormalizesToFirst) {
   const auto workload = workloads::make_workload("astro", 1.0 / 16.0);
   const auto config = small_machine();
   std::vector<ExperimentResult> results{
-      run_experiment(workload, SchemeSpec::original(), config),
-      run_experiment(workload, SchemeSpec::inter(), config),
+      run_experiment(workload, core::PipelineOptions::original(), config),
+      run_experiment(workload, core::PipelineOptions::inter(), config),
   };
   const auto table = comparison_table(results);
   EXPECT_EQ(table.num_rows(), 2u);

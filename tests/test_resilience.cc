@@ -204,7 +204,7 @@ sim::ExperimentResult run_faulted(const std::string& spec,
   resilience.schedule = parse_fault_spec(spec);
   resilience.retry = retry;
   resilience.remap.remap_on_failure = remap;
-  return sim::run_experiment(workload, sim::SchemeSpec::inter(),
+  return sim::run_experiment(workload, core::PipelineOptions::inter(),
                              tiny_machine(), &resilience);
 }
 
@@ -358,7 +358,7 @@ TEST(FaultEndState, WholeLevelFailThenNodeRecover) {
   const auto tree = config.build_tree();
   const auto schedule = parse_fault_spec("fail@2ms:l1; recover@3ms:l1.0");
   serve::MappingState state(config);
-  state.apply_faults(schedule);
+  EXPECT_FALSE(state.apply_faults(schedule).has_value());
   EXPECT_EQ(state.client_alive(),
             (std::vector<bool>{true, false, false, false}));
   const auto surviving = surviving_topology(tree, schedule);
@@ -372,7 +372,9 @@ TEST(FaultEndState, WholeLevelFailThenNodeRecover) {
 TEST(FaultEndState, FailThenDegradeStaysFailed) {
   const auto config = tiny_machine();
   serve::MappingState state(config);
-  state.apply_faults(parse_fault_spec("fail@1:l2.0; degrade@2:l2.0:lat=2"));
+  EXPECT_FALSE(
+      state.apply_faults(parse_fault_spec("fail@1:l2.0; degrade@2:l2.0:lat=2"))
+          .has_value());
   const auto effective = state.effective_faults();
   ASSERT_EQ(effective.events.size(), 2u);
   EXPECT_EQ(effective.events[0].kind, FaultKind::kFailStop);
@@ -454,11 +456,11 @@ TEST(FaultEndState, RandomSchedulesAgreeWithInjector) {
     // is rejected and leaves the state untouched.
     serve::MappingState state(config);
     if (!any_client_alive) {
-      EXPECT_THROW(state.apply_faults(schedule), Error);
+      EXPECT_TRUE(state.apply_faults(schedule).has_value());
       EXPECT_EQ(state.num_alive_clients(), tree.num_clients());
       EXPECT_TRUE(state.effective_faults().empty());
     } else {
-      state.apply_faults(schedule);
+      EXPECT_FALSE(state.apply_faults(schedule).has_value());
       ++accepted;
       for (std::size_t rank = 0; rank < tree.num_clients(); ++rank) {
         EXPECT_EQ(state.client_alive()[rank],
@@ -501,10 +503,10 @@ TEST(FaultEndState, RandomSchedulesAgreeWithInjector) {
 TEST(Resilience, HealthyRunsAreUntouchedByNullInjector) {
   const auto workload = workloads::make_workload("astro", 1.0 / 16.0);
   const auto with_null = sim::run_experiment(
-      workload, sim::SchemeSpec::inter(), tiny_machine(), nullptr);
+      workload, core::PipelineOptions::inter(), tiny_machine(), nullptr);
   sim::ResilienceSpec empty;
   const auto with_empty = sim::run_experiment(
-      workload, sim::SchemeSpec::inter(), tiny_machine(), &empty);
+      workload, core::PipelineOptions::inter(), tiny_machine(), &empty);
   EXPECT_EQ(with_null.exec_time, with_empty.exec_time);
   EXPECT_EQ(with_null.engine.io_time_total, with_empty.engine.io_time_total);
   EXPECT_EQ(with_empty.engine.faults_applied, 0u);

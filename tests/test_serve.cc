@@ -192,12 +192,10 @@ TEST(ServeEvent, StreamValidationNamesTheLine) {
 // --- policy ----------------------------------------------------------------
 
 TEST(ServePolicy, ScopePausesAreTiered) {
-  ServePolicy policy;
-  policy.remap.remap_pause_ns = 1600;
-  EXPECT_EQ(scope_pause(policy, RemapScope::kFull), 1600u);
-  EXPECT_EQ(scope_pause(policy, RemapScope::kPartial), 400u);
-  EXPECT_EQ(scope_pause(policy, RemapScope::kPatch), 100u);
-  EXPECT_EQ(scope_pause(policy, RemapScope::kNone), 0u);
+  EXPECT_EQ(scope_pause(RemapScope::kFull), resilience::kRemapPauseNs);
+  EXPECT_EQ(scope_pause(RemapScope::kPartial), resilience::kRemapPauseNs / 4);
+  EXPECT_EQ(scope_pause(RemapScope::kPatch), resilience::kRemapPauseNs / 16);
+  EXPECT_EQ(scope_pause(RemapScope::kNone), 0u);
 }
 
 TEST(ServePolicy, ForcedScopesShortCircuit) {
@@ -484,7 +482,8 @@ TEST(MappingState, FailStopKillsClientAndOrphansMove) {
   state.apply_patch(state.build_patch(a));
   const std::size_t alive_before = state.num_alive_clients();
 
-  state.apply_faults(resilience::parse_fault_spec("fail@0:l1.0"));
+  EXPECT_FALSE(state.apply_faults(resilience::parse_fault_spec("fail@0:l1.0"))
+                   .has_value());
   EXPECT_EQ(state.num_alive_clients(), alive_before - 1);
   EXPECT_FALSE(state.client_alive()[0]);
 
@@ -497,7 +496,9 @@ TEST(MappingState, FailStopKillsClientAndOrphansMove) {
   (void)moved;
 
   // Recovery squashes out of the effective fault state.
-  state.apply_faults(resilience::parse_fault_spec("recover@1:l1.0"));
+  EXPECT_FALSE(
+      state.apply_faults(resilience::parse_fault_spec("recover@1:l1.0"))
+          .has_value());
   EXPECT_EQ(state.num_alive_clients(), alive_before);
   const auto effective = state.effective_faults();
   for (const auto& event : effective.events) {
@@ -507,10 +508,14 @@ TEST(MappingState, FailStopKillsClientAndOrphansMove) {
 
 TEST(MappingState, EffectiveFaultsSquashToLastState) {
   MappingState state(tiny_machine());
-  state.apply_faults(
-      resilience::parse_fault_spec("transient@0:disk=0.5; fail@1:l2.0"));
-  state.apply_faults(
-      resilience::parse_fault_spec("transient@2:disk=0.01; recover@3:l2.0"));
+  EXPECT_FALSE(state
+                   .apply_faults(resilience::parse_fault_spec(
+                       "transient@0:disk=0.5; fail@1:l2.0"))
+                   .has_value());
+  EXPECT_FALSE(state
+                   .apply_faults(resilience::parse_fault_spec(
+                       "transient@2:disk=0.01; recover@3:l2.0"))
+                   .has_value());
   const auto effective = state.effective_faults();
   double disk_rate = -1;
   for (const auto& event : effective.events) {
@@ -532,15 +537,23 @@ TEST(MappingService, RejectedFaultChangesNothing) {
       service.state().effective_faults().to_string();
   // Every client dead, a fail-stop of an absent client, a degrade of an
   // absent I/O node, a valid event batched with an invalid one: rejected
-  // before anything is merged.
+  // before anything is merged, and journaled as such.
   for (const char* spec :
        {"fail@2ms:l1", "fail@2ms:l1.8", "degrade@2ms:l2.4:lat=2",
         "fail@2ms:l1.0; fail@2ms:l1.9"}) {
     SCOPED_TRACE(spec);
-    EXPECT_THROW(service.process(make_fault(2 * kMillisecond, spec)), Error);
+    const ServeDecision decision =
+        service.process(make_fault(2 * kMillisecond, spec));
+    EXPECT_EQ(decision.scope, RemapScope::kNone);
+    EXPECT_EQ(decision.reason.rfind("rejected: ", 0), 0u) << decision.reason;
+    EXPECT_EQ(decision.pause, 0u);
     EXPECT_EQ(service.state().fingerprint(), fingerprint);
     EXPECT_EQ(service.state().effective_faults().to_string(), effective);
   }
+  // A malformed spec is not a rejection but a hard error.
+  EXPECT_THROW(service.process(make_fault(2 * kMillisecond, "fail@2ms:l9")),
+               Error);
+  EXPECT_EQ(service.decisions().size(), 6u);
   // A recover of an absent client heals nothing and is not merged: the
   // history stays replayable, so a later fault still applies.
   service.process(make_fault(3 * kMillisecond, "recover@3ms:l1.9"));

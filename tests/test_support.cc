@@ -34,24 +34,6 @@ TEST(Check, PassingConditionDoesNotThrow) {
   EXPECT_NO_THROW(MLSC_CHECK(true, "never"));
 }
 
-TEST(RunningStats, ComputesMoments) {
-  RunningStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), 2.138, 0.001);  // sample stddev
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(Stats, MeanAndGeomean) {
-  EXPECT_DOUBLE_EQ(mean_of({1.0, 2.0, 3.0}), 2.0);
-  EXPECT_DOUBLE_EQ(mean_of({}), 0.0);
-  EXPECT_NEAR(geomean_of({1.0, 8.0}), 2.8284, 1e-3);
-  EXPECT_THROW(geomean_of({1.0, 0.0}), Error);
-}
-
 TEST(Stats, Percentile) {
   std::vector<double> v{1, 2, 3, 4, 5};
   EXPECT_DOUBLE_EQ(percentile_of(v, 0), 1.0);
@@ -61,17 +43,10 @@ TEST(Stats, Percentile) {
   EXPECT_THROW(percentile_of({}, 50), Error);
 }
 
-TEST(Stats, PercentImprovement) {
-  EXPECT_DOUBLE_EQ(percent_improvement(100.0, 74.0), 26.0);
-  EXPECT_DOUBLE_EQ(percent_improvement(0.0, 5.0), 0.0);
-}
-
 TEST(StringUtil, JoinSplitPad) {
   EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(join({}, ","), "");
   EXPECT_EQ(split("x,y,z", ','), (std::vector<std::string>{"x", "y", "z"}));
-  EXPECT_EQ(pad_left("7", 3), "  7");
-  EXPECT_EQ(pad_right("7", 3), "7  ");
   EXPECT_EQ(format_double(3.14159, 2), "3.14");
 }
 

@@ -110,20 +110,5 @@ TEST(Trace, TransformedOrderVisitsSameChunksAsIdentity) {
             count_accesses(core::MapperKind::kIntraProcessor));
 }
 
-TEST(Trace, BufferRepeatsSuppressesStableRefs) {
-  // With buffering on, consecutive iterations re-touching the same chunk
-  // emit fewer accesses.
-  const auto p = tiny_program();
-  const auto tree = tiny_tree();
-  const core::DataSpace space(p, 1024);  // whole rows share chunks
-  core::MappingPipeline pipeline(tree);
-  const auto m = pipeline.run_all(p, space);
-  const auto plain = generate_trace(p, space, m);
-  TraceOptions options;
-  options.buffer_repeats = true;
-  const auto buffered = generate_trace(p, space, m, options);
-  EXPECT_LT(buffered.total_accesses(), plain.total_accesses());
-}
-
 }  // namespace
 }  // namespace mlsc::sim

@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
   std::string report = "stats";
   double size_factor = 1.0;
   sim::MachineConfig machine = sim::MachineConfig::paper_default();
-  sim::SchemeSpec scheme = sim::SchemeSpec::inter();
+  core::PipelineOptions scheme = core::PipelineOptions::inter();
   double alpha = 0.5;
   double beta = 0.5;
   CommonToolOptions common;
@@ -270,8 +270,7 @@ int main(int argc, char** argv) {
       const auto tree = machine.build_tree();
       const core::DataSpace space(workload.program,
                                   machine.chunk_size_bytes);
-      core::MappingPipeline pipeline(tree,
-                                     sim::pipeline_options(scheme, machine));
+      core::MappingPipeline pipeline(tree, scheme);
       const auto mapping = [&] {
         obs::ScopedPhase phase(record, "mapping");
         return pipeline.run_all(workload.program, space);
