@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <span>
+#include <utility>
 
 #include "core/affinity_forest.h"
 #include "core/pair_scorer.h"
@@ -153,6 +154,7 @@ double average_linkage(std::uint64_t dot, const Cluster& a,
 struct MergeStats {
   std::uint64_t rescans = 0;          // stale winners rescored
   std::uint64_t fallback_merges = 0;  // zero-sharing merges
+  std::uint64_t row_entries = 0;      // partner-row entries read
 };
 
 /// The greedy merge: repeatedly merges the alive pair with the best
@@ -169,36 +171,24 @@ struct MergeStats {
 /// a shares data with restores the invariant for c.  The merge sequence
 /// needs only a's bound; the offers keep partner records exact, which
 /// saves rescans.
+///
+/// Rescans read partner rows, not the tags: row(x) holds (partner,
+/// dot(x, partner)) for every cluster x shared data with when the row
+/// was written.  Dots are bilinear, dot(a ∪ b, c) = dot(a, c) +
+/// dot(b, c), and clusters only ever grow by merging, so a row entry
+/// whose partner has since merged counts toward the survivor that holds
+/// it now: `into` is a union-find over merges (into[b] = a), and summing
+/// a row's dots per resolved survivor gives x's exact dots.  A merge
+/// sums row(a) and row(b) into a's new row; a stale rescan only reads
+/// x's row.
 MergeStats merge_to_count(std::vector<Cluster>& clusters, std::size_t target,
                           ThreadPool* pool) {
   const std::size_t n = clusters.size();
-  std::vector<bool> alive(n, true);
+  std::vector<std::uint32_t> into(n);
+  std::iota(into.begin(), into.end(), 0u);
+  auto alive = [&](std::uint32_t x) { return into[x] == x; };
   std::vector<std::uint32_t> version(n, 0);
   MergeStats stats;
-
-  // Versioned inverted index for rescanning a cluster: data chunk
-  // position -> (cluster, per-chunk count, version).  A cluster's dots
-  // against every partner accumulate in one pass over its postings
-  // (dot(a,c) = sum over shared chunks of count_a * count_c).  Entries
-  // go stale when their cluster merges (its version bumps) and are
-  // compacted away on the next scan.
-  struct IndexEntry {
-    std::uint32_t cluster;
-    std::uint32_t count;
-    std::uint32_t version;
-  };
-  std::size_t width = 0;
-  for (const Cluster& c : clusters) {
-    if (!c.tag.empty()) {
-      width = std::max<std::size_t>(width, c.tag.entries().back().pos + 1);
-    }
-  }
-  std::vector<std::vector<IndexEntry>> index(width);
-  auto index_cluster = [&](std::uint32_t id) {
-    for (const auto& entry : clusters[id].tag.entries()) {
-      index[entry.pos].push_back(IndexEntry{id, entry.count, version[id]});
-    }
-  };
 
   std::vector<BestPartner> best(n);
   // Raises x's record to `key` unless it already holds a better one.
@@ -211,59 +201,94 @@ MergeStats merge_to_count(std::vector<Cluster>& clusters, std::size_t target,
     return true;
   };
 
-  // Initial sweep: score every pair sharing data once, fold each pair
-  // into both endpoints' records, and index every cluster (version 0).
+  // Initial sweep: score every pair sharing data once and fold each
+  // pair into both endpoints' records.  The scorer's row a lists the
+  // partners below a; `above` transposes it, listing for each x the
+  // later rows that hold x, as (row, index) into the scorer's rows, so
+  // x's initial row is its scorer row plus its `above` range without a
+  // second copy of every dot.  The scorer's rows stay unchanged until
+  // the merge ends; a merge writes the merged cluster's `own` row.
+  struct AboveEntry {
+    std::uint32_t row = 0;
+    std::uint32_t index = 0;
+  };
   obs::Span sweep_span("pipeline.similarity_sweep");
   sweep_span.arg("clusters", static_cast<std::uint64_t>(n));
-  std::uint64_t candidates = 0;
-  {
-    const auto rows = score_shared_pairs(tag_entries(clusters), pool);
-    for (std::uint32_t a = 0; a < n; ++a) {
-      for (const PairDot& hit : rows[a]) {
-        const PairKey key{
-            average_linkage(hit.dot, clusters[a], clusters[hit.b]), hit.b, a};
-        offer(a, key, 0);
-        offer(hit.b, key, 0);
-      }
-      candidates += rows[a].size();
-      index_cluster(a);
+  const auto rows = score_shared_pairs(tag_entries(clusters), pool);
+  // Counting into above_at[x + 2] leaves x's start in above_at[x + 1]
+  // after the prefix sum, the fill cursor, which the fill advances to
+  // x's end.
+  std::vector<std::size_t> above_at(n + 2, 0);
+  for (std::uint32_t a = 0; a < n; ++a) {
+    for (const PairDot& hit : rows[a]) ++above_at[hit.b + 2];
+  }
+  for (std::size_t x = 2; x < above_at.size(); ++x) {
+    above_at[x] += above_at[x - 1];
+  }
+  std::vector<AboveEntry> above(above_at.back());
+  for (std::uint32_t a = 0; a < n; ++a) {
+    for (std::uint32_t i = 0; i < rows[a].size(); ++i) {
+      const PairDot& hit = rows[a][i];
+      const PairKey key{
+          average_linkage(hit.dot, clusters[a], clusters[hit.b]), hit.b, a};
+      offer(a, key, 0);
+      offer(hit.b, key, 0);
+      above[above_at[hit.b + 1]++] = AboveEntry{a, i};
     }
   }
-  sweep_span.arg("candidates", candidates);
+  stats.row_entries = above.size();
+  sweep_span.arg("candidates", static_cast<std::uint64_t>(above.size()));
   sweep_span.end();
-  MLSC_COUNTER_ADD("pipeline.sweep_candidates", candidates);
+  MLSC_COUNTER_ADD("pipeline.sweep_candidates", above.size());
   WinnerTree tree(best);
 
-  // Sets x's record to its exact best partner; with `offer_back`, also
-  // offers each scored pair (x, c) to c.
+  std::vector<bool> has_own(n, false);
+  std::vector<std::vector<PairDot>> own(n);
+
+  // Adds y's row into acc per alive partner of x other than x itself,
+  // listing each partner once in `touched`.
   std::vector<std::uint64_t> acc(n, 0);
   std::vector<std::uint32_t> touched;
-  auto rescan = [&](std::uint32_t x, bool offer_back) {
-    touched.clear();
-    for (const auto& tag_entry : clusters[x].tag.entries()) {
-      const std::uint64_t cx = tag_entry.count;
-      // Compact stale entries while scanning.
-      auto& list = index[tag_entry.pos];
-      std::size_t w = 0;
-      for (std::size_t r = 0; r < list.size(); ++r) {
-        const IndexEntry& e = list[r];
-        if (!alive[e.cluster] || version[e.cluster] != e.version) continue;
-        list[w++] = e;
-        if (e.cluster == x) continue;
-        if (acc[e.cluster] == 0) touched.push_back(e.cluster);
-        acc[e.cluster] += cx * e.count;
-      }
-      list.resize(w);
+  auto gather = [&](std::uint32_t x, std::uint32_t y) {
+    auto add = [&](std::uint32_t partner, std::uint64_t dot) {
+      const std::uint32_t c = uf_find(into, partner);
+      if (c == x) return;
+      if (acc[c] == 0) touched.push_back(c);
+      acc[c] += dot;
+    };
+    if (has_own[y]) {
+      stats.row_entries += own[y].size();
+      for (const PairDot& e : own[y]) add(e.b, e.dot);
+      return;
     }
-    BestPartner row;
-    for (std::uint32_t c : touched) {
-      const PairKey key{average_linkage(acc[c], clusters[x], clusters[c]),
+    stats.row_entries += rows[y].size() + above_at[y + 1] - above_at[y];
+    for (const PairDot& e : rows[y]) add(e.b, e.dot);
+    for (std::size_t i = above_at[y]; i < above_at[y + 1]; ++i) {
+      add(above[i].row, rows[above[i].row][above[i].index].dot);
+    }
+  };
+  // Sets x's record to its exact best partner from the gathered
+  // partners.  After a merge (`merged`) they also become x's own row,
+  // and each pair (x, c) is offered to c; a stale rescan writes nothing.
+  auto settle = [&](std::uint32_t x, bool merged) {
+    if (merged) {
+      own[x].clear();
+      own[x].reserve(touched.size());
+      has_own[x] = true;
+    }
+    BestPartner record;
+    for (const std::uint32_t c : touched) {
+      const std::uint64_t dot = std::exchange(acc[c], 0);
+      const PairKey key{average_linkage(dot, clusters[x], clusters[c]),
                         std::min(x, c), std::max(x, c)};
-      acc[c] = 0;
-      if (key.beats(row.key)) row = BestPartner{key, version[c]};
-      if (offer_back && offer(c, key, version[x])) tree.update(c);
+      if (key.beats(record.key)) record = BestPartner{key, version[c]};
+      if (merged) {
+        own[x].push_back(PairDot{c, dot});
+        if (offer(c, key, version[x])) tree.update(c);
+      }
     }
-    best[x] = row;
+    touched.clear();
+    best[x] = record;
     tree.update(x);
   };
 
@@ -288,12 +313,13 @@ MergeStats merge_to_count(std::vector<Cluster>& clusters, std::size_t target,
       }
       const std::uint32_t partner =
           record.key.lo == x ? record.key.hi : record.key.lo;
-      if (alive[partner] && version[partner] == record.partner_version) {
+      if (alive(partner) && version[partner] == record.partner_version) {
         pick = record.key;
         break;
       }
       ++stats.rescans;
-      rescan(x, false);
+      gather(x, x);
+      settle(x, false);
     }
     std::size_t fallback_pos = 0;
     if (dry) {
@@ -304,7 +330,7 @@ MergeStats merge_to_count(std::vector<Cluster>& clusters, std::size_t target,
       // (sequential on disk) and balanced.
       if (fallback_ids.empty()) {
         for (std::uint32_t i = 0; i < n; ++i) {
-          if (alive[i]) fallback_ids.push_back(i);
+          if (alive(i)) fallback_ids.push_back(i);
         }
         std::sort(fallback_ids.begin(), fallback_ids.end(),
                   [&](std::uint32_t x, std::uint32_t y) {
@@ -339,8 +365,8 @@ MergeStats merge_to_count(std::vector<Cluster>& clusters, std::size_t target,
                << clusters[b].members.size() << " members, "
                << alive_count - 1 << " clusters left");
     clusters[a].absorb(std::move(clusters[b]));
-    alive[b] = false;
-    ++version[a];  // invalidates a's old index entries and records
+    into[b] = a;
+    ++version[a];  // invalidates the records that point at a
     --alive_count;
     best[b] = BestPartner{};
     tree.update(b);
@@ -353,14 +379,18 @@ MergeStats merge_to_count(std::vector<Cluster>& clusters, std::size_t target,
       fallback_ids.erase(fallback_ids.begin() + fallback_pos + 1);
       continue;
     }
-    rescan(a, true);   // uses the merged tag's counts
-    index_cluster(a);  // re-index under the new version
+    // a's new row sums both rows; b's entries in row(a), and a's in
+    // row(b), now resolve to a and drop out.
+    gather(a, a);
+    gather(a, b);
+    own[b] = {};
+    settle(a, true);
   }
 
   std::vector<Cluster> survivors;
   survivors.reserve(target);
   for (std::uint32_t i = 0; i < n; ++i) {
-    if (alive[i]) survivors.push_back(std::move(clusters[i]));
+    if (alive(i)) survivors.push_back(std::move(clusters[i]));
   }
   clusters = std::move(survivors);
   return stats;
@@ -516,7 +546,9 @@ void cluster_to_count(std::vector<Cluster>& clusters, std::size_t target,
       const MergeStats stats = merge_to_count(clusters, target, pool);
       span.arg("rescans", stats.rescans);
       span.arg("fallback_merges", stats.fallback_merges);
+      span.arg("row_entries", stats.row_entries);
       MLSC_COUNTER_ADD("pipeline.clustering_rescans", stats.rescans);
+      MLSC_COUNTER_ADD("pipeline.clustering_row_entries", stats.row_entries);
       MLSC_COUNTER_ADD("pipeline.fallback_merges", stats.fallback_merges);
     }
   }

@@ -91,9 +91,14 @@ struct ClusterOptions {
 /// (core/pair_scorer.h).
 /// Greedy kernel: each cluster keeps its best partner
 /// (score, partner, partner version) and a winner tree over clusters
-/// yields the best pair; a merge rescans only the merged cluster over a
-/// versioned inverted data-chunk index and offers the new pairs to their
-/// partners, and a winner whose partner went stale is rescanned once.
+/// yields the best pair.  Each cluster also keeps a partner row of
+/// (partner, exact integer dot) entries.  Dots are bilinear, so a merge
+/// of b into a sums row(a) and row(b), resolving each entry to the
+/// cluster that holds it now through a union-find over merges
+/// (into[b] = a); the sum is a's new row, rescores a and is offered to
+/// a's partners.  A winner whose partner went stale is rescored once from
+/// its own row.  A merge costs O(|row a| + |row b|) plus O(log k) per
+/// changed record.
 /// Forest kernel: the scored pairs are the candidate edges, and
 /// core/affinity_forest's Borůvka rounds hook each component to its
 /// best-scoring neighbor; the resulting maximum spanning forest is cut to

@@ -276,42 +276,138 @@ OracleRun brute_force_greedy(std::vector<Cluster> clusters) {
   return run;
 }
 
+/// Runs the greedy kernel on `chunks` at every target in `targets`, at
+/// no pool and at `pool`, and checks each result against the
+/// brute-force merge sequence — every survivor's member order included.
+void expect_greedy_matches_oracle(const std::vector<IterationChunk>& chunks,
+                                  const OracleRun& oracle,
+                                  const std::vector<std::size_t>& targets,
+                                  ThreadPool& pool) {
+  ClusterOptions greedy;
+  greedy.algorithm = ClusterOptions::Algorithm::kGreedy;
+  std::vector<std::uint32_t> all(chunks.size());
+  for (std::uint32_t i = 0; i < all.size(); ++i) all[i] = i;
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    for (const std::size_t target : targets) {
+      SCOPED_TRACE("n " + std::to_string(chunks.size()) + " target " +
+                   std::to_string(target) + (p ? " 4 threads" : " serial"));
+      auto table = chunks;
+      auto clusters = make_singletons(all, table);
+      cluster_to_count(clusters, target, table, p, greedy);
+      const auto& want = oracle.by_count[target];
+      ASSERT_EQ(clusters.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(clusters[i].members, want[i].members) << "cluster " << i;
+      }
+    }
+  }
+}
+
+OracleRun oracle_of(const std::vector<IterationChunk>& chunks) {
+  std::vector<std::uint32_t> all(chunks.size());
+  for (std::uint32_t i = 0; i < all.size(); ++i) all[i] = i;
+  return brute_force_greedy(make_singletons(all, chunks));
+}
+
+/// The greedy's counted work for merging `clusters` down to one.
+struct GreedyWork {
+  std::uint64_t rescans = 0;
+  std::uint64_t row_entries = 0;
+};
+
+GreedyWork merge_all_counting(std::vector<Cluster>& clusters,
+                              std::vector<IterationChunk>& chunks) {
+  ClusterOptions greedy;
+  greedy.algorithm = ClusterOptions::Algorithm::kGreedy;
+  const bool was_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  obs::Registry::global().reset();
+  cluster_to_count(clusters, 1, chunks, nullptr, greedy);
+  auto& registry = obs::Registry::global();
+  const GreedyWork work{
+      registry.counter("pipeline.clustering_rescans").value(),
+      registry.counter("pipeline.clustering_row_entries").value()};
+  obs::set_metrics_enabled(was_enabled);
+  return work;
+}
+
 /// The greedy kernel must reproduce the brute-force merge sequence
-/// exactly — every survivor's member order included — at every target
-/// and at 1 and 4 pool threads.
+/// exactly at every target and at 1 and 4 pool threads.
 TEST(Clustering, GreedyMatchesBruteForceOracle) {
   mlsc::Rng rng(2010);
   ThreadPool pool(4);
-  ClusterOptions greedy;
-  greedy.algorithm = ClusterOptions::Algorithm::kGreedy;
   std::size_t tied_steps = 0;
   std::size_t fallback_steps = 0;
   for (int trial = 0; trial < 8; ++trial) {
     const std::size_t n = 20 + rng.next_below(40);
     const auto chunks = oracle_chunks(rng, n);
-    std::vector<std::uint32_t> all(n);
-    for (std::uint32_t i = 0; i < n; ++i) all[i] = i;
-    const OracleRun oracle = brute_force_greedy(make_singletons(all, chunks));
+    const OracleRun oracle = oracle_of(chunks);
     tied_steps += oracle.tied_steps;
     fallback_steps += oracle.fallback_steps;
-    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-      for (std::size_t target = 1; target < n; ++target) {
-        SCOPED_TRACE("trial " + std::to_string(trial) + " target " +
-                     std::to_string(target) + (p ? " 4 threads" : " serial"));
-        auto table = chunks;
-        auto clusters = make_singletons(all, table);
-        cluster_to_count(clusters, target, table, p, greedy);
-        const auto& want = oracle.by_count[target];
-        ASSERT_EQ(clusters.size(), want.size());
-        for (std::size_t i = 0; i < want.size(); ++i) {
-          ASSERT_EQ(clusters[i].members, want[i].members) << "cluster " << i;
-        }
-      }
-    }
+    std::vector<std::size_t> targets(n - 1);
+    for (std::size_t t = 1; t < n; ++t) targets[t - 1] = t;
+    expect_greedy_matches_oracle(chunks, oracle, targets, pool);
   }
   // The random shapes must actually reach the tie-break and the fallback.
   EXPECT_GT(tied_steps, 0u);
   EXPECT_GT(fallback_steps, 0u);
+}
+
+/// The same at n >= 300: above score_rows' 256-row cutoff, so the
+/// 4-thread pool scores the initial rows in parallel, and with most
+/// chunks on the hub position every merge sums rows of hundreds of
+/// partners.  Targets are sampled; each one replays the whole merge
+/// sequence down to it.
+TEST(Clustering, GreedyMatchesBruteForceOracleAboveParallelCutoff) {
+  mlsc::Rng rng(2022);
+  ThreadPool pool(4);
+  for (int trial = 0; trial < 2; ++trial) {
+    const std::size_t n = 300 + rng.next_below(60);
+    const auto chunks = oracle_chunks(rng, n);
+    ASSERT_GT(std::count_if(chunks.begin(), chunks.end(),
+                            [](const IterationChunk& c) {
+                              return c.tag.test(0);
+                            }),
+              static_cast<std::ptrdiff_t>(n / 2))
+        << "the hub position must be shared by most chunks";
+    const OracleRun oracle = oracle_of(chunks);
+    std::vector<std::size_t> targets;
+    for (std::size_t t = 1; t < n; t += 1 + t / 4) targets.push_back(t);
+    targets.push_back(n - 1);
+    expect_greedy_matches_oracle(chunks, oracle, targets, pool);
+  }
+}
+
+/// A row entry that resolves through two merges: chunk 3's initial row
+/// holds chunk 2, which merges into 1 (shared B bits score 4), and 1
+/// then into 0 (3 shared A bits over 2 members score 1.5), so into reads
+/// 2 -> 1 -> 0.  Nothing reads row(3) in between; the stale-winner
+/// rescan of 3 (its record still names 2) is the first to resolve that
+/// entry, and must count it toward cluster 0.
+TEST(Clustering, GreedyResolvesRowEntryThroughMergeChain) {
+  const std::uint32_t a1 = 0, a2 = 1, a3 = 2;
+  const std::uint32_t b1 = 3, b2 = 4, b3 = 5, b4 = 6;
+  const std::uint32_t c = 7, d = 8;
+  const std::vector<IterationChunk> chunks{
+      make_chunk(0, 0, 10, {a1, a2, a3}),
+      make_chunk(0, 10, 20, {a1, a2, a3, b1, b2, b3, b4}),
+      make_chunk(0, 20, 30, {b1, b2, b3, b4, c}),
+      make_chunk(0, 30, 40, {c, d}),
+      make_chunk(0, 40, 50, {d}),
+  };
+  ThreadPool pool(4);
+  const OracleRun oracle = oracle_of(chunks);
+  expect_greedy_matches_oracle(chunks, oracle, {1, 2, 3, 4}, pool);
+
+  // Work pinned at target 1: the transpose reads the 4 sharing pairs,
+  // the merges read 2+2, 1+2 and 2+1 row entries, and the stale rescans
+  // of 0, 3 and 0 read 1, 2 and 1.
+  auto table = chunks;
+  auto clusters = make_singletons({0, 1, 2, 3, 4}, table);
+  const GreedyWork work = merge_all_counting(clusters, table);
+  EXPECT_EQ(clusters[0].members, (std::vector<std::uint32_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(work.rescans, 3u);
+  EXPECT_EQ(work.row_entries, 18u);
 }
 
 /// Offering each rescanned pair to its partner keeps that partner's
@@ -327,18 +423,14 @@ TEST(Clustering, GreedyOfferKeepsPartnerRecordsExact) {
       make_chunk(0, 20, 30, {0, 1}),
   };
   auto clusters = make_singletons({0, 1, 2}, chunks);
-  ClusterOptions greedy;
-  greedy.algorithm = ClusterOptions::Algorithm::kGreedy;
-  const bool was_enabled = obs::metrics_enabled();
-  obs::set_metrics_enabled(true);
-  obs::Registry::global().reset();
-  cluster_to_count(clusters, 1, chunks, nullptr, greedy);
-  const auto rescans =
-      obs::Registry::global().counter("pipeline.clustering_rescans").value();
-  obs::set_metrics_enabled(was_enabled);
+  const GreedyWork work = merge_all_counting(clusters, chunks);
   ASSERT_EQ(clusters.size(), 1u);
   EXPECT_EQ(clusters[0].members, (std::vector<std::uint32_t>{0, 1, 2}));
-  EXPECT_EQ(rescans, 0u);
+  EXPECT_EQ(work.rescans, 0u);
+  // Partner-row work: the transpose reads the 3 sharing pairs, and
+  // merging 2 into 1 sums row(1) = {0, 2} and row(2) = {0, 1}; the last
+  // merge reaches the target and reads nothing.
+  EXPECT_EQ(work.row_entries, 7u);
 }
 
 ClusterOptions forest_options() {

@@ -4,6 +4,7 @@
 
 #include <map>
 
+#include "core/baselines.h"
 #include "core/pipeline.h"
 #include "support/check.h"
 #include "workloads/registry.h"
@@ -87,18 +88,47 @@ TEST(Trace, ItemsAlignWithMapping) {
   }
 }
 
+/// A 32x32 nest reading A[j][i] and writing B[j][i] (both transposed).
+/// With 64 B elements and 128 B chunks, the identity order walks both
+/// arrays down their columns, a new chunk per iteration, so a client
+/// cache of a few chunks favours the interchanged order.
+poly::Program transposed_program() {
+  poly::Program p;
+  const auto a = p.add_array({"A", {32, 32}, 64});
+  const auto b = p.add_array({"B", {32, 32}, 64});
+  poly::LoopNest nest;
+  nest.name = "transpose";
+  nest.space = poly::IterationSpace::from_extents({32, 32});
+  nest.refs = {
+      {a, poly::AccessMap::from_matrix({{0, 1}, {1, 0}}, {0, 0}), false},
+      {b, poly::AccessMap::from_matrix({{0, 1}, {1, 0}}, {0, 0}),
+       /*is_write=*/true},
+  };
+  nest.compute_ns_per_iteration = 10;
+  p.add_nest(std::move(nest));
+  return p;
+}
+
 TEST(Trace, TransformedOrderVisitsSameChunksAsIdentity) {
-  // The intra-processor (tiled) traversal must access exactly the same
-  // multiset of chunks as the original, just in a different order.
-  const auto p = tiny_program();
+  // The intra-processor (permuted or tiled) traversal must access exactly
+  // the same multiset of chunks as the original, just in a different order.
+  const auto p = transposed_program();
   const auto tree = tiny_tree();
   const core::DataSpace space(p, 128);
+  ASSERT_FALSE(
+      core::choose_locality_order(p, space, p.nest(0), 1024).is_identity())
+      << "the program must make the intra-processor mapper transform";
 
   auto count_accesses = [&](core::MapperKind kind) {
     core::PipelineOptions options;
     options.mapper = kind;
     core::MappingPipeline pipeline(tree, options);
     const auto m = pipeline.run_all(p, space);
+    bool transformed = false;
+    for (const auto& work : m.client_work) {
+      for (const auto& item : work) transformed |= !item.order.is_identity();
+    }
+    EXPECT_EQ(transformed, kind == core::MapperKind::kIntraProcessor);
     const auto trace = generate_trace(p, space, m);
     std::map<core::ChunkId, std::uint64_t> counts;
     for (const auto& ct : trace.clients) {
