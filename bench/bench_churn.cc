@@ -8,8 +8,13 @@
 // size, times and counts
 //   delta:  register one new instance + patch it into the standing cut
 //           (scored pairs + forest hooks proportional to the arrival),
-//   full:   rebuild_all — re-score every live chunk and recut (what a
-//           from-scratch pipeline run would pay).
+//   full:   rebuild_all and recut.  full_pairs counts the work of a
+//           from-scratch rebuild (every live chunk re-scored, what a
+//           from-scratch pipeline run would pay).  full_ms times the
+//           service's rebuild, which re-scores only the data keys churn
+//           touched since their last from-scratch hook — none here, as
+//           every instance owns its key — so it times the forest reset
+//           and the recut.
 // work_ratio = full work / delta work is deterministic (counted, not
 // timed) and CI-guarded: the 65536-chunk row must stay >= 10x.  The
 // second table replays a fixed churn script through MappingService and
@@ -185,7 +190,8 @@ int main(int argc, char** argv) {
     const double delta_ms = elapsed_ms(delta_start);
     const double imb_patch = state.imbalance();
 
-    // Full: what a from-scratch pipeline pays for the same live set.
+    // Full: counts what a from-scratch pipeline pays for the same live
+    // set; times the service's rebuild of it.
     serve::DeltaStats full;
     const auto full_start = std::chrono::steady_clock::now();
     state.rebuild_all(&pool, &full);

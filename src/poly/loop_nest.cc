@@ -1,5 +1,8 @@
 #include "poly/loop_nest.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "support/check.h"
 
 namespace mlsc::poly {
@@ -88,42 +91,63 @@ std::uint64_t Program::total_iterations() const {
   return total;
 }
 
+namespace {
+
+/// The exact range [min, max] of `expr` over the box `space`: each term
+/// c_k * i_k reaches its extremes at a bound of loop k, independently of
+/// the other terms, so the extremes of the sum sit on corners of the box.
+std::pair<std::int64_t, std::int64_t> range_over(const AffineExpr& expr,
+                                                 const IterationSpace& space) {
+  MLSC_DCHECK(expr.depth() == space.depth(),
+              "iteration arity " << space.depth() << " != depth "
+                                 << expr.depth());
+  std::int64_t lo = expr.constant_term();
+  std::int64_t hi = lo;
+  for (std::size_t k = 0; k < expr.depth(); ++k) {
+    const std::int64_t at_lower = expr.coeff(k) * space.loop(k).lower;
+    const std::int64_t at_upper = expr.coeff(k) * space.loop(k).upper;
+    lo += std::min(at_lower, at_upper);
+    hi += std::max(at_lower, at_upper);
+  }
+  return {lo, hi};
+}
+
+}  // namespace
+
 void Program::validate() const {
   for (const auto& nest : nests) {
     MLSC_CHECK(!nest.space.empty(), "nest " << nest.name << " is empty");
-    // Check every reference on every corner of the iteration space: for
-    // affine maps over a box, extrema occur at corners, so in-bounds
-    // corners imply in-bounds everywhere.
-    const std::size_t depth = nest.depth();
-    MLSC_CHECK(depth <= 20, "nest too deep for corner enumeration");
-    for (std::uint64_t corner = 0; corner < (std::uint64_t{1} << depth);
-         ++corner) {
-      Iteration iter(depth);
-      for (std::size_t k = 0; k < depth; ++k) {
-        const auto& b = nest.space.loop(k);
-        iter[k] = (corner >> k) & 1 ? b.upper : b.lower;
+    // Every reference must stay in bounds on the whole iteration space.
+    // For affine maps over a box the extrema occur at corners, so the
+    // per-dimension ranges (range_over) give the verdict of checking
+    // every corner, without enumerating 2^depth of them.  The corner
+    // check's depth limit stays part of the contract.
+    MLSC_CHECK(nest.depth() <= 20, "nest too deep for corner enumeration");
+    for (const auto& ref : nest.refs) {
+      MLSC_CHECK(ref.array < arrays.size(),
+                 "nest " << nest.name << " references unknown array");
+      if (ref.is_indirect()) {
+        MLSC_CHECK(ref.map.rank() == 1,
+                   "indirect reference in " << nest.name
+                                            << " must use a rank-1 map");
+        const auto& table = index_table(ref.index_table);
+        const auto [lo, hi] = range_over(ref.map.expr(0), nest.space);
+        MLSC_CHECK(lo >= 0 &&
+                       hi < static_cast<std::int64_t>(table.values.size()),
+                   "nest " << nest.name
+                           << " indexes past table " << table.name);
+        continue;
       }
-      for (const auto& ref : nest.refs) {
-        MLSC_CHECK(ref.array < arrays.size(),
-                   "nest " << nest.name << " references unknown array");
-        if (ref.is_indirect()) {
-          MLSC_CHECK(ref.map.rank() == 1,
-                     "indirect reference in " << nest.name
-                                              << " must use a rank-1 map");
-          const auto& table = index_table(ref.index_table);
-          const std::int64_t pos = ref.map.apply_dim(0, iter);
-          MLSC_CHECK(pos >= 0 && pos < static_cast<std::int64_t>(
-                                           table.values.size()),
-                     "nest " << nest.name
-                             << " indexes past table " << table.name);
-          continue;
-        }
-        const auto index = ref.map.apply(iter);
-        MLSC_CHECK(arrays[ref.array].in_bounds(index),
-                   "nest " << nest.name << " ref " << ref.map.to_string()
-                           << " out of bounds of array "
-                           << arrays[ref.array].name);
+      const ArrayDecl& array = arrays[ref.array];
+      bool in_bounds = ref.map.rank() == array.dims.size();
+      for (std::size_t d = 0; in_bounds && d < ref.map.rank(); ++d) {
+        const auto [lo, hi] = range_over(ref.map.expr(d), nest.space);
+        in_bounds = lo >= 0 && hi < array.dims[d];
       }
+      MLSC_CHECK(in_bounds, "nest " << nest.name << " ref "
+                                    << ref.map.to_string()
+                                    << " out of bounds of array "
+                                    << array.name);
     }
     // Every index table used by this nest must only hold valid elements
     // of the arrays accessed through it.

@@ -100,10 +100,11 @@ struct Program {
   /// Total iterations across all nests.
   std::uint64_t total_iterations() const;
 
-  /// Validates that every reference stays in bounds on the corner points
-  /// of its iteration space (cheap smoke check used by workload ctors),
-  /// and that every index table entry is a valid element of every array
-  /// accessed through it.
+  /// Validates that every reference stays in bounds on its whole
+  /// iteration space — the exact range of each affine map dimension over
+  /// the box, which is the verdict of checking every corner point (cheap
+  /// smoke check used by workload ctors) — and that every index table
+  /// entry is a valid element of every array accessed through it.
   void validate() const;
 };
 

@@ -26,14 +26,6 @@ std::string make_data_key(const std::string& name, double size_factor) {
   return out.str();
 }
 
-/// Erases one id from a sorted posting list.
-void posting_erase(std::vector<std::uint32_t>& list, std::uint32_t id) {
-  const auto it = std::lower_bound(list.begin(), list.end(), id);
-  MLSC_CHECK(it != list.end() && *it == id,
-             "posting list missing chunk " << id);
-  list.erase(it);
-}
-
 struct Placement {
   std::uint32_t index = 0;   // into the caller's size list
   std::uint32_t client = 0;
@@ -107,6 +99,10 @@ std::uint64_t MappingState::chunk_order_key(std::uint32_t chunk) const {
 
 bool MappingState::chunk_live(std::uint32_t chunk) const {
   return entries_[chunk_owner_[chunk]].live;
+}
+
+std::uint32_t MappingState::key_of(std::uint32_t chunk) const {
+  return entries_[chunk_owner_[chunk]].data_key;
 }
 
 std::size_t MappingState::find_live(const std::string& id) const {
@@ -183,15 +179,17 @@ std::size_t MappingState::register_workload(const std::string& id,
   // Tag — or copy a live sibling's chunk table when the data key is
   // already standing (tagging is deterministic, so the copy is exactly
   // what a recompute would produce).
-  const std::string key = make_data_key(name, size_factor);
+  const std::string key_name = make_data_key(name, size_factor);
+  const auto found = key_index_.find(key_name);
   std::vector<core::IterationChunk> tagged;
   std::uint32_t num_data_chunks = 0;
   std::size_t sibling = static_cast<std::size_t>(-1);
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].live && entries_[i].name == name &&
-        entries_[i].size_factor == size_factor) {
-      sibling = i;
-      break;
+  if (found != key_index_.end() && data_keys_[found->second].live_instances) {
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+      if (entries_[i].live && entries_[i].data_key == found->second) {
+        sibling = i;
+        break;
+      }
     }
   }
   if (sibling != static_cast<std::size_t>(-1)) {
@@ -212,16 +210,22 @@ std::size_t MappingState::register_workload(const std::string& id,
     entry.total_iterations = result.total_iterations;
   }
 
-  auto [it, inserted] =
-      data_keys_.try_emplace(key, DataKey{next_tag_offset_, num_data_chunks, 0});
+  const auto [it, inserted] = key_index_.try_emplace(
+      key_name, static_cast<std::uint32_t>(data_keys_.size()));
   if (inserted) {
-    next_tag_offset_ += num_data_chunks;
+    data_keys_.emplace_back().num_data_chunks = num_data_chunks;
   } else {
-    MLSC_CHECK(it->second.num_data_chunks == num_data_chunks,
-               "data key '" << key << "' changed tag width");
+    MLSC_CHECK(data_keys_[it->second].num_data_chunks == num_data_chunks,
+               "data key '" << key_name << "' changed tag width");
   }
-  it->second.live_instances += 1;
-  entry.tag_offset = it->second.tag_offset;
+  DataKey& key = data_keys_[it->second];
+  // An arrival beside a live sibling hooks against the sibling's forest,
+  // not from scratch: the key is dirty until the next full rebuild.
+  const bool from_scratch = key.live_instances == 0;
+  if (!from_scratch) key.clean = false;
+  key.live_instances += 1;
+  key.postings.resize(num_data_chunks);
+  entry.data_key = it->second;
   entry.num_data_chunks = num_data_chunks;
 
   entry.first_chunk = static_cast<std::uint32_t>(chunks_.size());
@@ -244,33 +248,36 @@ std::size_t MappingState::register_workload(const std::string& id,
   std::iota(rows.begin(), rows.end(), e.first_chunk);
   for (const std::uint32_t g : rows) {
     for (std::uint32_t bit : chunks_[g].tag.bits()) {
-      postings_[e.tag_offset + bit].push_back(g);
+      key.postings[bit].push_back(g);
     }
   }
 
   // Score only the arrival's rows and hook them into the standing
   // forest — the delta path's work is proportional to the arrival.
-  const std::uint64_t scored = score_and_hook(rows, pool, stats);
+  const DeltaStats hooked = score_and_hook(rows, key, pool);
+  if (from_scratch) {
+    key.scored_pairs = hooked.scored_pairs;
+    key.rounds = hooked.rounds;
+  }
+  if (stats != nullptr) *stats += hooked;
+  MLSC_COUNTER_ADD("pipeline.serve_scored_pairs", hooked.scored_pairs);
   span.arg("new_chunks", static_cast<std::uint64_t>(e.num_chunks));
-  span.arg("scored_pairs", scored);
+  span.arg("scored_pairs", hooked.scored_pairs);
   return widx;
 }
 
-std::uint64_t MappingState::score_and_hook(std::span<const std::uint32_t> rows,
-                                           ThreadPool* pool,
-                                           DeltaStats* stats) {
-  // The shared row kernel over the standing posting index: tag bits read
-  // as counts of 1, so every dot is the pair's shared-bit count.  The
+DeltaStats MappingState::score_and_hook(std::span<const std::uint32_t> rows,
+                                        const DataKey& key, ThreadPool* pool) {
+  // The shared row kernel over the key's posting lists: tag bits read as
+  // counts of 1, so every dot is the pair's shared-bit count.  The
   // per-row lists go out of scope before the hook allocates.
   std::vector<ForestEdge> edges;
   {
     const auto scored_rows = core::score_rows(
         rows, chunks_.size(),
         [&](std::uint32_t a, const auto& scan) {
-          const std::uint64_t offset = entries_[chunk_owner_[a]].tag_offset;
           for (std::uint32_t bit : chunks_[a].tag.bits()) {
-            const auto it = postings_.find(offset + bit);
-            if (it != postings_.end()) scan(1, it->second);
+            scan(1, key.postings[bit]);
           }
         },
         pool);
@@ -284,17 +291,12 @@ std::uint64_t MappingState::score_and_hook(std::span<const std::uint32_t> rows,
       }
     }
   }
-  const std::uint64_t scored = edges.size();
+  DeltaStats hooked;
+  hooked.scored_pairs = edges.size();
   const std::size_t before = forest_.size();
-  const std::size_t rounds =
-      core::hook_forest(std::move(edges), parent_, forest_, pool);
-  if (stats != nullptr) {
-    stats->scored_pairs += scored;
-    stats->rounds += rounds;
-    stats->forest_hooks += forest_.size() - before;
-  }
-  MLSC_COUNTER_ADD("pipeline.serve_scored_pairs", scored);
-  return scored;
+  hooked.rounds = core::hook_forest(std::move(edges), parent_, forest_, pool);
+  hooked.forest_hooks = forest_.size() - before;
+  return hooked;
 }
 
 // ---------------------------------------------------------------------------
@@ -305,21 +307,27 @@ void MappingState::depart_workload(std::size_t widx) {
   MLSC_CHECK(e.live, "depart of a non-live workload entry");
   e.live = false;
 
-  const auto key_it = data_keys_.find(make_data_key(e.name, e.size_factor));
-  MLSC_CHECK(key_it != data_keys_.end() && key_it->second.live_instances > 0,
-             "data key bookkeeping out of sync");
-  key_it->second.live_instances -= 1;
+  DataKey& key = data_keys_[e.data_key];
+  MLSC_CHECK(key.live_instances > 0, "data key bookkeeping out of sync");
+  key.live_instances -= 1;
 
   const std::uint32_t lo = e.first_chunk;
   const std::uint32_t hi = e.first_chunk + e.num_chunks;
 
-  for (std::uint32_t g = lo; g < hi; ++g) {
-    for (std::uint32_t bit : chunks_[g].tag.bits()) {
-      const std::uint64_t k = e.tag_offset + bit;
-      const auto it = postings_.find(k);
-      MLSC_CHECK(it != postings_.end(), "posting key missing on depart");
-      posting_erase(it->second, g);
-      if (it->second.empty()) postings_.erase(it);
+  if (key.live_instances == 0) {
+    // The key's part of the forest goes with its last instance; what is
+    // left (nothing) is trivially its from-scratch forest.
+    const std::uint32_t width = key.num_data_chunks;
+    key = DataKey{};
+    key.num_data_chunks = width;
+  } else {
+    // The survivors keep a forest broken where the departing chunks
+    // were, which a from-scratch build would re-hook differently.  The
+    // departing ids [lo, hi) sit contiguously in every ascending list.
+    key.clean = false;
+    for (std::vector<std::uint32_t>& list : key.postings) {
+      list.erase(std::lower_bound(list.begin(), list.end(), lo),
+                 std::lower_bound(list.begin(), list.end(), hi));
     }
   }
 
@@ -558,16 +566,55 @@ void MappingState::recut_all() {
 
 void MappingState::rebuild_all(ThreadPool* pool, DeltaStats* stats) {
   obs::Span span("pipeline.serve_rebuild");
-  for (std::uint32_t i = 0; i < parent_.size(); ++i) parent_[i] = i;
-  forest_.clear();
+  // A clean key's edges are already its from-scratch forest; keep them
+  // and re-hook each dirty key's live rows on its own.  Keys share no
+  // tag bit, so a from-scratch build over the whole live set hooks the
+  // same per-key forests in the same per-key Borůvka rounds, and the
+  // cut sorts the edges by edge_better, so their order does not matter.
+  forest_.erase(std::remove_if(forest_.begin(), forest_.end(),
+                               [&](const ForestEdge& edge) {
+                                 return !data_keys_[key_of(edge.u)].clean;
+                               }),
+                forest_.end());
+  rebuild_parent_from_forest();
+  const std::uint64_t kept_edges = forest_.size();
 
-  std::vector<std::uint32_t> rows;
+  std::vector<std::vector<std::uint32_t>> dirty_rows(data_keys_.size());
+  std::uint64_t live_rows = 0;
   for (std::uint32_t g = 0; g < chunks_.size(); ++g) {
-    if (chunk_live(g)) rows.push_back(g);
+    if (!chunk_live(g)) continue;
+    ++live_rows;
+    if (!data_keys_[key_of(g)].clean) dirty_rows[key_of(g)].push_back(g);
   }
-  const std::uint64_t scored = score_and_hook(rows, pool, stats);
-  span.arg("rows", static_cast<std::uint64_t>(rows.size()));
-  span.arg("scored_pairs", scored);
+  std::uint64_t dirty_keys = 0;
+  std::uint64_t rescored = 0;
+  for (std::size_t k = 0; k < data_keys_.size(); ++k) {
+    DataKey& key = data_keys_[k];
+    if (key.clean) continue;
+    const DeltaStats hooked = score_and_hook(dirty_rows[k], key, pool);
+    key.clean = true;
+    key.scored_pairs = hooked.scored_pairs;
+    key.rounds = hooked.rounds;
+    ++dirty_keys;
+    rescored += hooked.scored_pairs;
+  }
+
+  // Report the from-scratch build: every key's pairs, the most rounds
+  // any key needs (their Borůvka rounds run side by side), every hook.
+  DeltaStats scratch;
+  for (const DataKey& key : data_keys_) {
+    scratch.scored_pairs += key.scored_pairs;
+    scratch.rounds = std::max(scratch.rounds, key.rounds);
+  }
+  scratch.forest_hooks = forest_.size();
+  if (stats != nullptr) *stats += scratch;
+  MLSC_COUNTER_ADD("pipeline.serve_scored_pairs", scratch.scored_pairs);
+  MLSC_COUNTER_ADD("pipeline.serve_rescored_pairs", rescored);
+  span.arg("rows", live_rows);
+  span.arg("scored_pairs", scratch.scored_pairs);
+  span.arg("dirty_keys", dirty_keys);
+  span.arg("rescored_pairs", rescored);
+  span.arg("kept_edges", kept_edges);
   span.end();
   recut_all();
 }
@@ -780,39 +827,53 @@ void MappingState::check_invariants() const {
                          << ", actual " << loads[r]);
   }
 
-  // Postings are exactly the live chunks' tag bits, ascending.
-  std::size_t posted = 0;
-  for (const auto& [key, list] : postings_) {
-    MLSC_CHECK(!list.empty(), "empty posting list survived");
-    std::uint32_t prev = 0;
-    for (std::size_t i = 0; i < list.size(); ++i) {
-      MLSC_CHECK(i == 0 || list[i] > prev, "posting list not ascending");
-      prev = list[i];
-      MLSC_CHECK(chunk_live(list[i]), "dead chunk still posted");
-    }
-    posted += list.size();
+  // Each key's postings are exactly its live chunks' tag bits,
+  // ascending; a key with no live instance holds none.
+  std::vector<std::uint32_t> live_instances(data_keys_.size(), 0);
+  for (const WorkloadEntry& e : entries_) {
+    MLSC_CHECK(e.data_key < data_keys_.size(), "data key out of range");
+    if (e.live) live_instances[e.data_key] += 1;
   }
-  std::size_t expected = 0;
+  std::vector<std::size_t> expected(data_keys_.size(), 0);
   for (std::uint32_t g = 0; g < n; ++g) {
     if (!chunk_live(g)) continue;
-    const std::uint64_t offset = entries_[chunk_owner_[g]].tag_offset;
+    const DataKey& key = data_keys_[key_of(g)];
     for (std::uint32_t bit : chunks_[g].tag.bits()) {
-      const auto it = postings_.find(offset + bit);
-      MLSC_CHECK(it != postings_.end() &&
-                     std::binary_search(it->second.begin(), it->second.end(),
-                                        g),
+      MLSC_CHECK(bit < key.postings.size() &&
+                     std::binary_search(key.postings[bit].begin(),
+                                        key.postings[bit].end(), g),
                  "live chunk bit not posted");
-      ++expected;
+      ++expected[key_of(g)];
     }
   }
-  MLSC_CHECK(posted == expected, "posting index carries stale entries");
+  for (std::size_t k = 0; k < data_keys_.size(); ++k) {
+    const DataKey& key = data_keys_[k];
+    MLSC_CHECK(key.live_instances == live_instances[k],
+               "data key live-instance count out of sync");
+    MLSC_CHECK(key.postings.size() ==
+                   (key.live_instances == 0 ? 0 : key.num_data_chunks),
+               "data key posting lists sized wrong");
+    std::size_t posted = 0;
+    for (const std::vector<std::uint32_t>& list : key.postings) {
+      for (std::size_t i = 0; i < list.size(); ++i) {
+        MLSC_CHECK(i == 0 || list[i] > list[i - 1],
+                   "posting list not ascending");
+        MLSC_CHECK(chunk_live(list[i]), "dead chunk still posted");
+        MLSC_CHECK(key_of(list[i]) == k, "chunk posted under a foreign key");
+      }
+      posted += list.size();
+    }
+    MLSC_CHECK(posted == expected[k], "posting index carries stale entries");
+  }
 
-  // Forest edges alive and acyclic; parent_ matches the forest exactly.
+  // Forest edges alive, within one key and acyclic; parent_ matches the
+  // forest exactly.
   std::vector<std::uint32_t> scratch(n);
   std::iota(scratch.begin(), scratch.end(), 0u);
   for (const ForestEdge& e : forest_) {
     MLSC_CHECK(e.u < e.v && e.v < n, "malformed forest edge");
     MLSC_CHECK(chunk_live(e.u) && chunk_live(e.v), "dead forest endpoint");
+    MLSC_CHECK(key_of(e.u) == key_of(e.v), "forest edge spans data keys");
     MLSC_CHECK(core::uf_union(scratch, e.u, e.v),
                "forest edge formed a cycle");
   }

@@ -3,10 +3,12 @@
 // MappingState holds, across workload churn:
 //   - the global iteration-chunk table (each registered instance's
 //     chunks, tags kept in the instance's own data space),
-//   - the global data-chunk posting index (instances of the same
-//     workload name + size factor share one tag-bit range, so tenants
-//     over the same data can cluster together; distinct data keys get
-//     disjoint bit ranges and never interact),
+//   - one record per data key (instances of the same workload name +
+//     size factor share a key, so tenants over the same data can
+//     cluster together; distinct keys never share a tag bit and never
+//     interact): the key's dense posting lists, indexed by key-local
+//     tag bit, and whether its forest edges are still what a
+//     from-scratch build over its live rows would hook,
 //   - the standing affinity forest (a maximum-spanning-forest over
 //     chunk-similarity edges, built and cut by core/affinity_forest —
 //     the kernel core::clustering's kForest path calls too) and its
@@ -17,18 +19,19 @@
 // Registration is incremental: only the new instance's chunks are tagged
 // and scored (cost proportional to the arrival, not to the standing
 // table), and its edges are hooked into the standing forest by Borůvka
-// rounds against the existing components.  A full recompute rebuilds the
-// forest from the posting index from scratch — deterministically
+// rounds against the existing components.  A full recompute re-scores
+// only the data keys churn touched since their last from-scratch hook
+// (the forest is a disjoint union of per-key parts) — deterministically
 // identical to registering the same live set into a fresh state, which
 // is the oracle the tests pin.
 //
 // The state runs the offline kernels, not copies of them: rows are
-// scored by core::score_rows over the posting index (tag bits as counts
-// of 1), the forest is hooked and cut by core/affinity_forest — the
-// patch's leftover components too, by cut_forest over an empty forest —
-// and every placement and imbalance figure comes from one heaviest-
-// first, least-loaded-alive-client rule and one max-relative-deviation
-// formula.
+// scored by core::score_rows over a key's posting lists (tag bits as
+// counts of 1), the forest is hooked and cut by core/affinity_forest —
+// the patch's leftover components too, by cut_forest over an empty
+// forest — and every placement and imbalance figure comes from one
+// heaviest-first, least-loaded-alive-client rule and one
+// max-relative-deviation formula.
 #pragma once
 
 #include <cstdint>
@@ -60,8 +63,13 @@ struct ServeStateOptions {
   double cut_balance_slack = core::kCutBalanceSlack;
 };
 
-/// Mapping-work accounting for one operation, mirrored into the
-/// pipeline.* counters: candidate pairs scored and forest hooks made.
+/// Mapping-work accounting for one operation: candidate pairs scored
+/// (mirrored into the pipeline.serve_scored_pairs counter), forest hooks
+/// made and Borůvka rounds run.  A full recompute (rebuild_all)
+/// reports what a from-scratch rebuild of the live set covers — every
+/// live pair, the whole forest, the most rounds any data key needs — and
+/// so does the journal; the pairs it actually re-scored are what the
+/// pipeline.serve_rescored_pairs counter reports.
 struct DeltaStats {
   std::uint64_t scored_pairs = 0;
   std::uint64_t forest_hooks = 0;
@@ -85,10 +93,9 @@ struct WorkloadEntry {
 
   workloads::Workload workload;
 
-  /// Tag-bit base shared by every live instance with the same
-  /// (name, size_factor) data key; bit b of a chunk tag posts under
-  /// global key tag_offset + b.
-  std::uint64_t tag_offset = 0;
+  /// The state's data key of this (name, size_factor): every instance
+  /// of the same key shares it, and with it one tag-bit range.
+  std::uint32_t data_key = 0;
   std::uint32_t num_data_chunks = 0;  // r, the tag width
   std::uint64_t total_iterations = 0;
 
@@ -168,9 +175,11 @@ class MappingState {
   /// path: forest kept, cut + placement redone).
   void recut_all();
 
-  /// Rebuilds the standing forest from the posting index from scratch
-  /// (every live chunk re-scored), then recut_all().  The full-recompute
-  /// path; bit-identical to a fresh state over the same live set.
+  /// Rebuilds the standing forest as a from-scratch build over the live
+  /// set would, then recut_all().  The full-recompute path; bit-identical
+  /// to a fresh state over the same live set.  Only dirty data keys are
+  /// re-scored and re-hooked; clean keys keep their forest edges.
+  /// `stats` receives the from-scratch figures (see DeltaStats).
   void rebuild_all(ThreadPool* pool, DeltaStats* stats);
 
   // --- faults -------------------------------------------------------------
@@ -201,6 +210,8 @@ class MappingState {
   const std::vector<std::uint64_t>& client_load() const { return load_; }
   const std::vector<bool>& client_alive() const { return client_alive_; }
   const std::vector<core::IterationChunk>& chunks() const { return chunks_; }
+  /// The standing forest's edges, in the order they were hooked.
+  const std::vector<core::ForestEdge>& forest() const { return forest_; }
 
   std::size_t find_live(const std::string& id) const;  // npos when absent
   std::size_t num_live_workloads() const;
@@ -222,8 +233,9 @@ class MappingState {
                                     std::size_t sample_clients = 0) const;
 
   /// Structural invariants: every live chunk in exactly one cluster,
-  /// cluster iteration totals and per-client loads consistent, postings
-  /// exactly the live chunks' bits, forest edges alive and acyclic.
+  /// cluster iteration totals and per-client loads consistent, each data
+  /// key's postings exactly its live chunks' bits (none for a key with
+  /// no live instance), forest edges alive, within one key and acyclic.
   void check_invariants() const;
 
   /// Deterministic end-state serialization.  Chunks are named
@@ -232,20 +244,39 @@ class MappingState {
   std::string fingerprint() const;
 
  private:
+  /// One data key.  Its chunks share data with no other key's, so the
+  /// live similarity graph and the standing forest are disjoint unions
+  /// of per-key parts.  A key is clean when its forest edges are exactly
+  /// a from-scratch Borůvka over its live rows (the maximum spanning
+  /// forest of its part under edge_better's strict order):
+  ///   - a register into a key with no live instance hooks the arrival
+  ///     from scratch and leaves the key clean;
+  ///   - a register into a key with a live instance, or a depart that
+  ///     leaves siblings, makes it dirty;
+  ///   - a depart that empties the key leaves it clean, with no
+  ///     postings;
+  ///   - rebuild_all re-hooks every dirty key from scratch.
   struct DataKey {
-    std::uint64_t tag_offset = 0;
     std::uint32_t num_data_chunks = 0;
     std::uint32_t live_instances = 0;
+    bool clean = true;
+    /// Pairs scored and Borůvka rounds of the key's last from-scratch
+    /// hook (0 while it has no live instance).
+    std::uint64_t scored_pairs = 0;
+    std::uint64_t rounds = 0;
+    /// Posting lists by key-local tag bit: live chunk ids, ascending.
+    std::vector<std::vector<std::uint32_t>> postings;
   };
 
   std::uint64_t chunk_order_key(std::uint32_t chunk) const;
-  /// Scores the listed chunk rows against the posting index with the
-  /// shared row kernel (core::score_rows), hooks the edges into the
-  /// standing forest and books both into `stats`; returns the pairs
-  /// scored.
-  std::uint64_t score_and_hook(std::span<const std::uint32_t> rows,
-                               ThreadPool* pool, DeltaStats* stats);
+  /// Scores the listed chunk rows — all of data key `key` — against the
+  /// key's posting lists with the shared row kernel (core::score_rows)
+  /// and hooks the edges into the standing forest; returns the pairs
+  /// scored, hooks made and rounds run.
+  DeltaStats score_and_hook(std::span<const std::uint32_t> rows,
+                            const DataKey& key, ThreadPool* pool);
   bool chunk_live(std::uint32_t chunk) const;
+  std::uint32_t key_of(std::uint32_t chunk) const;
   void rebuild_parent_from_forest();
 
   sim::MachineConfig machine_;
@@ -253,14 +284,12 @@ class MappingState {
   ServeStateOptions options_;
 
   std::vector<WorkloadEntry> entries_;
-  std::unordered_map<std::string, DataKey> data_keys_;
-  std::uint64_t next_tag_offset_ = 0;
+  std::vector<DataKey> data_keys_;
+  /// make_data_key(name, size_factor) -> index into data_keys_.
+  std::unordered_map<std::string, std::uint32_t> key_index_;
 
   std::vector<core::IterationChunk> chunks_;  // global, tags data-key-local
   std::vector<std::uint32_t> chunk_owner_;    // entry index per chunk
-
-  /// Posting index: global bit key -> live chunk ids, ascending.
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> postings_;
 
   /// Union-find over forest components; mutable so const queries can
   /// path-compress (semantically pure).

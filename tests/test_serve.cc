@@ -10,12 +10,18 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <numeric>
+#include <random>
+#include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "core/affinity_forest.h"
 #include "core/clustering.h"
+#include "obs/metrics.h"
 #include "serve/event.h"
 #include "serve/policy.h"
 #include "serve/service.h"
@@ -292,13 +298,13 @@ TEST(MappingState, SameDataKeyInstancesShareTagRange) {
       state.register_workload("a", "astro", 1.0 / 16.0, 2, nullptr, &stats);
   const std::size_t b =
       state.register_workload("b", "astro", 1.0 / 16.0, 2, nullptr, &stats);
-  EXPECT_EQ(state.entries()[a].tag_offset, state.entries()[b].tag_offset);
+  EXPECT_EQ(state.entries()[a].data_key, state.entries()[b].data_key);
   // The sibling copy path must produce identical chunk counts.
   EXPECT_EQ(state.entries()[a].num_chunks, state.entries()[b].num_chunks);
 
   const std::size_t c =
       state.register_workload("c", "hf", 1.0 / 16.0, 2, nullptr, &stats);
-  EXPECT_NE(state.entries()[c].tag_offset, state.entries()[a].tag_offset);
+  EXPECT_NE(state.entries()[c].data_key, state.entries()[a].data_key);
 }
 
 TEST(MappingState, ScaleChangesCutTarget) {
@@ -384,6 +390,204 @@ TEST(MappingState, ScoredPairsMatchBruteForce) {
     EXPECT_EQ(stats.scored_pairs, expected);
     state.check_invariants();
   }
+}
+
+/// Every live pair b < a of the same (name, size factor) with a shared
+/// tag bit, as forest candidate edges (score = shared bits), restricted
+/// to rows whose data key `keep` accepts; brute force over all pairs.
+template <typename Keep>
+std::vector<core::ForestEdge> brute_edges(const MappingState& state,
+                                          const Keep& keep) {
+  std::vector<core::ForestEdge> edges;
+  const auto n = static_cast<std::uint32_t>(state.chunks().size());
+  for (std::uint32_t a = 0; a < n; ++a) {
+    const WorkloadEntry& ea = owner_of(state, a);
+    if (!ea.live || !keep(ea.data_key)) continue;
+    for (std::uint32_t b = 0; b < a; ++b) {
+      const WorkloadEntry& eb = owner_of(state, b);
+      if (!eb.live || eb.name != ea.name ||
+          eb.size_factor != ea.size_factor) {
+        continue;
+      }
+      const std::size_t shared =
+          state.chunks()[a].tag.common_bits(state.chunks()[b].tag);
+      if (shared > 0) {
+        edges.push_back(core::ForestEdge{static_cast<double>(shared), b, a});
+      }
+    }
+  }
+  return edges;
+}
+
+/// `from`'s forest renamed into `to`'s global chunk ids through (instance
+/// id, local index) — both states hold the same live set, registered in
+/// the same relative order — sorted by edge_better.
+std::vector<core::ForestEdge> forest_in(const MappingState& from,
+                                        const MappingState& to) {
+  auto rename = [&](std::uint32_t g) {
+    const WorkloadEntry& e = owner_of(from, g);
+    const std::size_t w = to.find_live(e.id);
+    EXPECT_NE(w, static_cast<std::size_t>(-1)) << e.id;
+    return to.entries()[w].first_chunk + (g - e.first_chunk);
+  };
+  std::vector<core::ForestEdge> edges;
+  for (const core::ForestEdge& e : from.forest()) {
+    const std::uint32_t u = rename(e.u);
+    const std::uint32_t v = rename(e.v);
+    edges.push_back(core::ForestEdge{e.score, std::min(u, v), std::max(u, v)});
+  }
+  std::sort(edges.begin(), edges.end(), core::edge_better);
+  return edges;
+}
+
+bool same_edges(const std::vector<core::ForestEdge>& x,
+                const std::vector<core::ForestEdge>& y) {
+  return std::equal(x.begin(), x.end(), y.begin(), y.end(),
+                    [](const core::ForestEdge& a, const core::ForestEdge& b) {
+                      return a.score == b.score && a.u == b.u && a.v == b.v;
+                    });
+}
+
+TEST(MappingState, FullRemapMatchesFreshStateUnderKeyChurn) {
+  // Random register / depart / scale / full sequences over two shared
+  // data keys (sibling copies) and unique ones (perturbed size factors,
+  // some re-registered after their key emptied).  After every full remap
+  // the churned state must equal a fresh state fed the same live set and
+  // rebuilt — fingerprint, forest, stats — and the stats must equal one
+  // from-scratch Borůvka over every live pair.  The test keeps its own
+  // model of which keys churn touched since their last from-scratch
+  // hook; the remap's pipeline.serve_rescored_pairs count must be
+  // exactly those keys' pairs.
+  ServeStateOptions options;
+  options.tagging.max_iteration_chunks = 32;
+  ThreadPool pool(3);
+  const bool metrics_were_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  std::uint64_t sibling_registers = 0;
+  std::uint64_t emptying_departs = 0;
+  std::uint64_t sibling_departs = 0;
+  std::uint64_t reregisters = 0;
+  std::uint64_t idle_fulls = 0;
+  std::uint64_t busy_fulls = 0;
+  for (const std::uint32_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937 rng(seed);
+    auto pick = [&](std::size_t n) {
+      return static_cast<std::size_t>(rng() % n);
+    };
+    MappingState state(tiny_machine(), options);
+    std::map<std::uint32_t, std::uint32_t> live_of_key;
+    std::set<std::uint32_t> dirty;
+    std::vector<std::pair<std::string, double>> emptied;  // unique keys
+    std::uint32_t next_id = 0;
+    std::uint32_t next_unique = 0;
+    for (int step = 0; step < 40; ++step) {
+      std::vector<std::size_t> live;
+      for (std::size_t w = 0; w < state.entries().size(); ++w) {
+        if (state.entries()[w].live) live.push_back(w);
+      }
+      const std::size_t roll = pick(10);
+      if (live.empty() || (roll < 4 && live.size() < 6)) {
+        std::string name = pick(2) == 0 ? "astro" : "hf";
+        double size_factor = 1.0 / 16.0;
+        const std::size_t kind = pick(4);
+        if (kind == 2 && !emptied.empty()) {
+          const std::size_t i = pick(emptied.size());
+          std::tie(name, size_factor) = emptied[i];
+          emptied.erase(emptied.begin() + static_cast<std::ptrdiff_t>(i));
+          ++reregisters;
+        } else if (kind >= 2) {
+          name = "sar";
+          size_factor = 1.0 / 16.0 * (1.0 + ++next_unique * 1e-6);
+        }
+        const std::size_t w = state.register_workload(
+            "w" + std::to_string(next_id++), name, size_factor,
+            static_cast<std::uint32_t>(1 + pick(3)), nullptr, nullptr);
+        const std::uint32_t key = state.entries()[w].data_key;
+        if (live_of_key[key]++ > 0) {
+          dirty.insert(key);
+          ++sibling_registers;
+        }
+        state.apply_patch(state.build_patch(w));
+      } else if (roll < 7) {
+        const std::size_t w = live[pick(live.size())];
+        const std::uint32_t key = state.entries()[w].data_key;
+        const std::string name = state.entries()[w].name;
+        const double size_factor = state.entries()[w].size_factor;
+        state.depart_workload(w);
+        if (--live_of_key[key] == 0) {
+          dirty.erase(key);
+          if (name == "sar") emptied.emplace_back(name, size_factor);
+          ++emptying_departs;
+        } else {
+          dirty.insert(key);
+          ++sibling_departs;
+        }
+      } else if (roll < 8) {
+        state.set_requested_clients(live[pick(live.size())],
+                                    static_cast<std::uint32_t>(1 + pick(4)));
+      } else {
+        const std::uint64_t expected_rescored =
+            brute_edges(state, [&](std::uint32_t key) {
+              return dirty.count(key) > 0;
+            }).size();
+        DeltaStats stats;
+        obs::Counter& counter =
+            obs::Registry::global().counter("pipeline.serve_rescored_pairs");
+        const std::uint64_t before = counter.value();
+        state.rebuild_all(pick(2) == 0 ? nullptr : &pool, &stats);
+        const std::uint64_t rescored = counter.value() - before;
+        EXPECT_EQ(rescored, expected_rescored) << "step " << step;
+        ++(rescored == 0 ? idle_fulls : busy_fulls);
+        dirty.clear();
+
+        // One from-scratch Borůvka over every live pair.
+        std::vector<core::ForestEdge> all =
+            brute_edges(state, [](std::uint32_t) { return true; });
+        const std::uint64_t pairs = all.size();
+        std::vector<std::uint32_t> parent(state.chunks().size());
+        std::iota(parent.begin(), parent.end(), 0u);
+        std::vector<core::ForestEdge> scratch_forest;
+        const std::uint64_t rounds =
+            core::hook_forest(std::move(all), parent, scratch_forest);
+        std::sort(scratch_forest.begin(), scratch_forest.end(),
+                  core::edge_better);
+        EXPECT_EQ(stats.scored_pairs, pairs) << "step " << step;
+        EXPECT_EQ(stats.forest_hooks, scratch_forest.size())
+            << "step " << step;
+        EXPECT_EQ(stats.rounds, rounds) << "step " << step;
+        EXPECT_TRUE(same_edges(forest_in(state, state), scratch_forest))
+            << "step " << step;
+
+        // A fresh state fed the live set, in the same relative order.
+        MappingState fresh(tiny_machine(), options);
+        for (const std::size_t w : live) {
+          const WorkloadEntry& e = state.entries()[w];
+          fresh.register_workload(e.id, e.name, e.size_factor,
+                                  e.requested_clients, nullptr, nullptr);
+        }
+        DeltaStats fresh_stats;
+        fresh.rebuild_all(nullptr, &fresh_stats);
+        fresh.check_invariants();
+        EXPECT_EQ(state.fingerprint(), fresh.fingerprint()) << "step " << step;
+        EXPECT_TRUE(same_edges(forest_in(state, fresh),
+                               forest_in(fresh, fresh)))
+            << "step " << step;
+        EXPECT_EQ(stats.scored_pairs, fresh_stats.scored_pairs);
+        EXPECT_EQ(stats.forest_hooks, fresh_stats.forest_hooks);
+        EXPECT_EQ(stats.rounds, fresh_stats.rounds);
+      }
+      state.check_invariants();
+    }
+  }
+  obs::set_metrics_enabled(metrics_were_enabled);
+  // Every rule was exercised.
+  EXPECT_GT(sibling_registers, 0u);
+  EXPECT_GT(emptying_departs, 0u);
+  EXPECT_GT(sibling_departs, 0u);
+  EXPECT_GT(reregisters, 0u);
+  EXPECT_GT(idle_fulls, 0u);
+  EXPECT_GT(busy_fulls, 0u);
 }
 
 TEST(MappingState, LeftoverMergeMatchesNaiveReference) {
