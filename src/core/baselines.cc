@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "cache/policy.h"
+#include "core/access_walk.h"
 #include "poly/dependence.h"
 #include "support/check.h"
 
@@ -91,23 +92,19 @@ double chunk_locality_cost(const poly::Program& program,
   MLSC_CHECK(cache_chunks > 0, "locality model needs a cache size");
   auto lru = cache::make_policy(cache::PolicyKind::kLru, cache_chunks);
 
-  poly::OrderWalker walker(nest.space, order);
+  const poly::LinearRange prefix{
+      0, std::min(nest.space.size(), kCostSampleIterations)};
+  AccessWalk walk(program, space, nest, order, {&prefix, 1});
   std::uint64_t misses = 0;
   std::uint64_t steps = 0;
-  while (!walker.done() && steps < kCostSampleIterations) {
-    const auto& iter = walker.current();
-    for (const auto& ref : nest.refs) {
-      const std::uint64_t flat = poly::resolve_element(program, ref, iter);
-      const auto span = space.element_chunks(ref.array, flat);
-      for (ChunkId c = span.first; c <= span.last; ++c) {
-        if (!lru->touch(c)) {
-          ++misses;
-          lru->insert(c);
-        }
+  while (!walk.done()) {
+    for (const ChunkAccess& access : walk.next()) {
+      if (!lru->touch(access.chunk)) {
+        ++misses;
+        lru->insert(access.chunk);
       }
     }
     ++steps;
-    walker.next();
   }
   if (steps == 0) return 0.0;
   return static_cast<double>(misses) / static_cast<double>(steps);

@@ -16,7 +16,8 @@
 // greedy merge's initial sweep and the affinity forest's candidate edges
 // (cluster-tag counts) score through it, and score_chunk_tags feeds it
 // chunk tags as counts of 1 — while the online service (serve/state)
-// scores just the rows it needs against its standing hashed index.
+// scores just the rows it needs against one data key's dense posting
+// lists.
 //
 // exhaustive_similarity_edges is the O(V^2) reference sweep for the
 // equivalence tests, the similarity bench and the worked example.

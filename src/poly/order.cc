@@ -60,10 +60,10 @@ std::string IterationOrder::to_string() const {
   return out.str();
 }
 
-OrderWalker::OrderWalker(const IterationSpace& space, IterationOrder order)
+OrderWalker::OrderWalker(const IterationSpace& space, IterationOrder order,
+                         std::uint64_t position)
     : space_(space), order_(std::move(order)), depth_(space.depth()) {
   order_.validate(space_);
-  done_ = space_.empty();
   tile_counts_.resize(depth_);
   tile_index_.assign(depth_, 0);
   point_extent_.resize(depth_);
@@ -75,10 +75,46 @@ OrderWalker::OrderWalker(const IterationSpace& space, IterationOrder order)
     const std::int64_t tile = order_.tile_sizes[axis];
     tile_counts_[j] = (extent + tile - 1) / tile;
   }
-  if (!done_) {
-    recompute_point_extents();
-    materialize_current();
+  seek(position);
+}
+
+void OrderWalker::seek(std::uint64_t position) {
+  const std::uint64_t size = space_.size();
+  MLSC_CHECK(position <= size,
+             "seek to " << position << " past the space's " << size);
+  position_ = position;
+  done_ = position == size;
+  if (done_) return;
+  // Tiles come in lexicographic order of their tile indices, and every
+  // tile but the last along an axis is full.  With the outer tile
+  // indices fixed, the tiles before index t along permuted axis j hold
+  // (points of the fixed outer tiles) * t * tile_j * (all of the inner
+  // axes' extents) positions, so one division per axis finds t.
+  std::uint64_t rest = position;
+  std::uint64_t outer = 1;  // points per tile of the fixed outer axes
+  for (std::size_t j = 0; j < depth_; ++j) {
+    const std::size_t axis = order_.permutation[j];
+    const std::int64_t extent = space_.loop(axis).extent();
+    const std::int64_t tile = order_.tile_sizes[axis];
+    std::uint64_t inner = 1;
+    for (std::size_t r = j + 1; r < depth_; ++r) {
+      inner *= static_cast<std::uint64_t>(
+          space_.loop(order_.permutation[r]).extent());
+    }
+    const std::uint64_t slab = outer * static_cast<std::uint64_t>(tile) * inner;
+    tile_index_[j] = static_cast<std::int64_t>(rest / slab);
+    rest -= static_cast<std::uint64_t>(tile_index_[j]) * slab;
+    outer *= static_cast<std::uint64_t>(
+        std::min(tile, extent - tile_index_[j] * tile));
   }
+  recompute_point_extents();
+  // The rest is a lexicographic rank inside the tile.
+  for (std::size_t j = depth_; j-- > 0;) {
+    const auto extent = static_cast<std::uint64_t>(point_extent_[j]);
+    point_index_[j] = static_cast<std::int64_t>(rest % extent);
+    rest /= extent;
+  }
+  materialize_current();
 }
 
 void OrderWalker::recompute_point_extents() {

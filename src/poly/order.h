@@ -37,16 +37,23 @@ struct IterationOrder {
 
 /// Enumerates an iteration space in a transformed order.  Visits every
 /// iteration exactly once; `current()` is always expressed in original
-/// loop-index order so array maps apply unchanged.
+/// loop-index order so array maps apply unchanged.  The walk can start
+/// at, or jump to, any position of the transformed sequence.
 class OrderWalker {
  public:
-  OrderWalker(const IterationSpace& space, IterationOrder order);
+  /// Starts at `position` (0 = the first iteration; the space's size =
+  /// already done).  `space` must outlive the walker.
+  OrderWalker(const IterationSpace& space, IterationOrder order,
+              std::uint64_t position = 0);
 
   bool done() const { return done_; }
   const Iteration& current() const { return current_; }
 
   /// Advances to the next iteration in transformed order.
   void next();
+
+  /// Jumps to `position` (at most the space's size) in O(depth).
+  void seek(std::uint64_t position);
 
   /// Position in the transformed sequence, starting at 0.
   std::uint64_t position() const { return position_; }

@@ -93,10 +93,6 @@ MappingState::MappingState(const sim::MachineConfig& machine,
   client_alive_.assign(tree_.num_clients(), true);
 }
 
-std::uint64_t MappingState::chunk_order_key(std::uint32_t chunk) const {
-  return core::Cluster::make_order_key(chunks_[chunk]);
-}
-
 bool MappingState::chunk_live(std::uint32_t chunk) const {
   return entries_[chunk_owner_[chunk]].live;
 }
@@ -238,8 +234,10 @@ std::size_t MappingState::register_workload(const std::string& id,
   chunk_owner_.resize(chunks_.size(), widx);
   cluster_of_chunk_.resize(chunks_.size(), kUnplaced);
   parent_.reserve(chunks_.size());
+  order_key_.reserve(chunks_.size());
   for (std::uint32_t g = e.first_chunk; g < chunks_.size(); ++g) {
     parent_.push_back(g);
+    order_key_.push_back(core::Cluster::make_order_key(chunks_[g]));
   }
 
   // Post the new chunks.  Global ids grow monotonically, so push_back
@@ -369,6 +367,13 @@ void MappingState::depart_workload(std::size_t widx) {
       cluster_of_chunk_[m] = static_cast<std::uint32_t>(c);
     }
   }
+
+  // Every pass skips dead chunks, so nothing reads their tags or ranges
+  // again: free them (the ids stay, with their iteration counts).
+  for (std::uint32_t g = lo; g < hi; ++g) {
+    chunks_[g].tag = core::ChunkTag();
+    chunks_[g].ranges = std::vector<poly::LinearRange>();
+  }
 }
 
 void MappingState::set_requested_clients(std::size_t widx,
@@ -430,7 +435,7 @@ PatchPlan MappingState::build_patch(std::size_t widx) const {
     }
     iterations[it->second] += chunks_[g].iterations;
     order_keys[it->second] =
-        std::min(order_keys[it->second], chunk_order_key(g));
+        std::min(order_keys[it->second], order_key_[g]);
     fresh.emplace_back(g, it->second);
   }
   std::sort(plan.appends.begin(), plan.appends.end(),
@@ -522,7 +527,7 @@ void MappingState::recut_all() {
     if (!chunk_live(g)) continue;
     alive_chunks.push_back(g);
     iterations.push_back(chunks_[g].iterations);
-    order_keys.push_back(chunk_order_key(g));
+    order_keys.push_back(order_key_[g]);
   }
   clusters_.clear();
   std::fill(cluster_of_chunk_.begin(), cluster_of_chunk_.end(), kUnplaced);
@@ -781,7 +786,7 @@ core::MappingResult MappingState::entry_mapping(
 void MappingState::check_invariants() const {
   const std::size_t n = chunks_.size();
   MLSC_CHECK(chunk_owner_.size() == n && cluster_of_chunk_.size() == n &&
-                 parent_.size() == n,
+                 parent_.size() == n && order_key_.size() == n,
              "chunk table sizes out of sync");
   MLSC_CHECK(load_.size() == tree_.num_clients() &&
                  client_alive_.size() == tree_.num_clients(),
@@ -819,6 +824,8 @@ void MappingState::check_invariants() const {
     } else {
       MLSC_CHECK(cluster_of_chunk_[g] == kUnplaced,
                  "dead chunk still mapped to a cluster");
+      MLSC_CHECK(chunks_[g].tag.empty() && chunks_[g].ranges.empty(),
+                 "dead chunk still holds its tag or ranges");
     }
   }
   for (std::size_t r = 0; r < loads.size(); ++r) {

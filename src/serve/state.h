@@ -209,6 +209,9 @@ class MappingState {
   const std::vector<ServeCluster>& clusters() const { return clusters_; }
   const std::vector<std::uint64_t>& client_load() const { return load_; }
   const std::vector<bool>& client_alive() const { return client_alive_; }
+  /// Every chunk ever registered, by global id.  A departed instance's
+  /// chunks keep only their nest and iteration count: their tags and
+  /// ranges are freed.
   const std::vector<core::IterationChunk>& chunks() const { return chunks_; }
   /// The standing forest's edges, in the order they were hooked.
   const std::vector<core::ForestEdge>& forest() const { return forest_; }
@@ -268,7 +271,6 @@ class MappingState {
     std::vector<std::vector<std::uint32_t>> postings;
   };
 
-  std::uint64_t chunk_order_key(std::uint32_t chunk) const;
   /// Scores the listed chunk rows — all of data key `key` — against the
   /// key's posting lists with the shared row kernel (core::score_rows)
   /// and hooks the edges into the standing forest; returns the pairs
@@ -290,6 +292,9 @@ class MappingState {
 
   std::vector<core::IterationChunk> chunks_;  // global, tags data-key-local
   std::vector<std::uint32_t> chunk_owner_;    // entry index per chunk
+  /// core::Cluster::make_order_key per chunk, computed at register so
+  /// the cut never reads a chunk's ranges.
+  std::vector<std::uint64_t> order_key_;
 
   /// Union-find over forest components; mutable so const queries can
   /// path-compress (semantically pure).

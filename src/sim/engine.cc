@@ -1,9 +1,11 @@
 #include "sim/engine.h"
 
 #include <cstdio>
+#include <optional>
 #include <queue>
 #include <vector>
 
+#include "core/access_walk.h"
 #include "io/striping.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -18,8 +20,8 @@ struct ClientState {
   Nanoseconds clock = 0;
   std::size_t item = 0;       // index into trace items / work items
   std::uint64_t iter = 0;     // iterations completed within the item
-  std::size_t access = 0;     // cursor into the access stream
-  std::uint64_t iter_global = 0;  // cursor into accesses_per_iteration
+  std::uint64_t access = 0;   // accesses issued so far
+  std::optional<core::AccessWalk> walk;  // the current item's accesses
   Nanoseconds io_time = 0;
   Nanoseconds compute_time = 0;
   Nanoseconds sync_wait = 0;
@@ -45,6 +47,15 @@ EngineResult run_engine(const Trace& trace,
   const std::size_t num_clients = trace.clients.size();
   MLSC_CHECK(num_clients == tree.num_clients(),
              "trace client count does not match the tree");
+  MLSC_CHECK(trace.program != nullptr && trace.space != nullptr,
+             "trace has no program or data space");
+  MLSC_CHECK(mapping.num_clients() == num_clients,
+             "trace client count does not match the mapping");
+  for (std::size_t c = 0; c < num_clients; ++c) {
+    MLSC_CHECK(mapping.client_work[c].size() == trace.clients[c].items.size(),
+               "trace of client " << c << " does not match the mapping");
+  }
+  const std::uint32_t num_data_chunks = trace.space->num_chunks();
 
   cache::MultiLevelCache caches(tree, config.chunk_size_bytes, config.policy,
                                 config.placement);
@@ -181,9 +192,23 @@ EngineResult run_engine(const Trace& trace,
         {1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9});
   }
 
-  // Marks an item finished and wakes clients blocked on it.
+  // Starts walking client c's current item.
+  auto open_walk = [&](std::size_t c) -> core::AccessWalk& {
+    const core::WorkItem& work = mapping.client_work[c][state[c].item];
+    return state[c].walk.emplace(*trace.program, *trace.space,
+                                 trace.program->nest(work.nest), work.order,
+                                 work.ranges);
+  };
+
+  // Marks an item finished and wakes clients blocked on it.  Its walk
+  // must end exactly after the item's iteration count.
   auto complete_item = [&](std::size_t c, std::size_t item,
                            Nanoseconds when) {
+    MLSC_CHECK(state[c].walk->done(),
+               "trace iteration count mismatch for client "
+                   << c << " item " << item << ": the walk outlasts "
+                   << trace.clients[c].items[item].iterations
+                   << " iterations");
     item_finish[c][item] = when;
     item_done[c][item] = true;
     for (std::size_t waiter : waiters[c][item]) {
@@ -225,6 +250,7 @@ EngineResult run_engine(const Trace& trace,
     // Skip exhausted items (possible when an item has zero iterations).
     while (s.item < ct.items.size() &&
            s.iter >= ct.items[s.item].iterations) {
+      open_walk(c);
       complete_item(c, s.item, s.clock);
       ++s.item;
       s.iter = 0;
@@ -263,7 +289,12 @@ EngineResult run_engine(const Trace& trace,
     s.clock += item.compute_ns_per_iteration;
     s.compute_time += item.compute_ns_per_iteration;
 
-    const std::uint8_t count = ct.accesses_per_iteration[s.iter_global];
+    core::AccessWalk& walk = s.iter == 0 ? open_walk(c) : *s.walk;
+    MLSC_CHECK(!walk.done(), "trace iteration count mismatch for client "
+                                 << c << " item " << s.item
+                                 << ": the walk ends after " << s.iter
+                                 << " of " << item.iterations
+                                 << " iterations");
     const topology::NodeId client_node = tree.clients()[c];
     if (insight != nullptr) {
       insight->set_current_client(static_cast<std::uint32_t>(c));
@@ -279,12 +310,11 @@ EngineResult run_engine(const Trace& trace,
       disk_last_chunk[sn] = chunk;
     };
 
-    for (std::uint8_t a = 0; a < count; ++a) {
-      const Access& access = ct.accesses[s.access++];
+    for (const core::ChunkAccess& access : walk.next()) {
       // Identity of this operation for transient-error draws: the
       // client's position in its own access stream, which is invariant
       // under replay interleaving and thread count.
-      const std::uint64_t op_id = s.access - 1;
+      const std::uint64_t op_id = s.access++;
       const auto hit =
           caches.access(client_node, access.chunk, access.is_write);
       for (std::uint32_t w = 0; w < hit.writebacks_to_disk; ++w) {
@@ -374,7 +404,7 @@ EngineResult run_engine(const Trace& trace,
         for (std::uint32_t r = 1; r <= config.readahead_chunks; ++r) {
           const std::uint64_t next =
               static_cast<std::uint64_t>(access.chunk) + r;
-          if (next >= trace.num_data_chunks) break;
+          if (next >= num_data_chunks) break;
           const auto next_chunk = static_cast<core::ChunkId>(next);
           if (caches.resident_on_path(client_node, next_chunk)) continue;
           const std::uint32_t flushes =
@@ -434,7 +464,6 @@ EngineResult run_engine(const Trace& trace,
     }
 
     ++s.iter;
-    ++s.iter_global;
     if (s.iter >= item.iterations) {
       complete_item(c, s.item, s.clock);
       ++s.item;

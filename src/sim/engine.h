@@ -116,8 +116,9 @@ struct EngineResult {
   }
 };
 
-/// Replays `trace` on the machine.  `mapping` supplies the sync edges;
-/// the trace must have been generated from the same mapping.  `faults`
+/// Replays `trace` on the machine.  `mapping` supplies the sync edges
+/// and each item's nest, order and ranges, which the engine walks as the
+/// item runs; the trace must have been generated from the same mapping.  `faults`
 /// (optional) injects the fault schedule during the replay: failed
 /// caches are skipped at a failover-detection cost, transient errors are
 /// retried with capped exponential backoff under a per-access timeout

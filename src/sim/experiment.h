@@ -2,7 +2,7 @@
 //
 // This is what every benchmark binary calls: it builds the hierarchy
 // tree and data space, runs the mapping pipeline for the requested
-// scheme, expands the trace, replays it on the engine, and packages the
+// scheme, plans the trace, replays it on the engine, and packages the
 // three result families the paper reports (miss rates per cache level,
 // I/O latency, total execution time).
 #pragma once

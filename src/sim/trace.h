@@ -1,9 +1,12 @@
-// Trace generation: a MappingResult becomes per-client chunk-access
-// streams the engine can replay.
+// Trace generation: a MappingResult becomes per-client replay plans the
+// engine walks.
 //
-// Every iteration emits one access per array reference per covered data
+// Every iteration issues one access per array reference per covered data
 // chunk — the paper's platform issues one MPI-IO request per reference,
-// and each request interrogates the storage cache hierarchy.
+// and each request interrogates the storage cache hierarchy.  That stream
+// is a pure function of the mapping, so the plan stores none of it: the
+// engine walks each work item with a core::AccessWalk when the item runs
+// (DESIGN.md §19), and the plan's size follows the item count.
 #pragma once
 
 #include <cstdint>
@@ -15,42 +18,31 @@
 
 namespace mlsc::sim {
 
-struct Access {
-  core::ChunkId chunk = 0;
-  bool is_write = false;
-};
-
-/// One executed WorkItem: `iterations` consecutive entries of
-/// `accesses_per_iteration`, each naming how many entries of `accesses`
-/// that iteration consumes.
+/// One WorkItem as the engine executes it: `iterations` iterations, each
+/// costing `compute_ns_per_iteration` before its accesses.
 struct TraceItem {
-  std::uint64_t first_iteration = 0;  // index into per-client iteration seq
   std::uint64_t iterations = 0;
   Nanoseconds compute_ns_per_iteration = 0;
 };
 
 struct ClientTrace {
-  std::vector<Access> accesses;
-  std::vector<std::uint8_t> accesses_per_iteration;
   /// Aligned with MappingResult::client_work items (same indices, so
   /// SyncEdges address into it directly).
   std::vector<TraceItem> items;
 
-  std::uint64_t total_iterations() const {
-    return accesses_per_iteration.size();
-  }
+  std::uint64_t total_iterations() const;
 };
 
 struct Trace {
   std::vector<ClientTrace> clients;
-  /// r, the data-space chunk count (bounds readahead prefetches).
-  std::uint32_t num_data_chunks = 0;
-  std::uint64_t total_accesses() const;
+  /// The program and data space the items' accesses resolve against
+  /// (not owned; both must outlive every replay of the trace).
+  const poly::Program* program = nullptr;
+  const core::DataSpace* space = nullptr;
 };
 
-/// Expands a mapping into traces.  Identity-order items enumerate their
-/// rank ranges directly; permuted/tiled items are produced by one shared
-/// walk per (nest, order) so the cost stays linear in the nest size.
+/// Plans the replay of `mapping`: per client, each work item's iteration
+/// count and compute cost.  O(work items); no access is generated here.
 Trace generate_trace(const poly::Program& program,
                      const core::DataSpace& space,
                      const core::MappingResult& mapping);

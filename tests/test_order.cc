@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <set>
 
 #include "support/check.h"
+#include "support/rng.h"
 
 namespace mlsc::poly {
 namespace {
@@ -115,6 +118,60 @@ INSTANTIATE_TEST_SUITE_P(
     PermsAndTiles, OrderWalkerPermutationTest,
     ::testing::Combine(::testing::Values(0, 1, 2),
                        ::testing::Values(1, 2, 3, 7)));
+
+TEST(OrderWalker, SeekMatchesWalkFromStart) {
+  // Random boxes (lower bounds off zero), permutations and tile sizes,
+  // many of them not dividing the extents (edge tiles): a walker started
+  // at, or jumped to, position p must visit exactly the iterations a
+  // walk from 0 visits from p on.
+  Rng rng(2024);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t depth = 1 + rng.next_below(4);
+    std::vector<LoopBounds> loops;
+    for (std::size_t k = 0; k < depth; ++k) {
+      const auto lower = static_cast<std::int64_t>(rng.next_below(5)) - 2;
+      const auto extent = static_cast<std::int64_t>(1 + rng.next_below(7));
+      loops.push_back({lower, lower + extent - 1});
+    }
+    const IterationSpace space(loops);
+    IterationOrder order = IterationOrder::identity(depth);
+    for (std::size_t k = depth; k > 1; --k) {
+      std::swap(order.permutation[k - 1],
+                order.permutation[rng.next_below(k)]);
+    }
+    for (auto& tile : order.tile_sizes) {
+      tile = static_cast<std::int64_t>(1 + rng.next_below(5));
+    }
+    const auto all = walk_all(space, order);
+    ASSERT_EQ(all.size(), space.size());
+    for (int probe = 0; probe < 8; ++probe) {
+      const std::uint64_t p = rng.next_below(space.size() + 1);
+      OrderWalker started(space, order, p);
+      OrderWalker jumped(space, order);
+      if (rng.next_below(2) == 0 && !jumped.done()) jumped.next();
+      jumped.seek(p);
+      for (std::uint64_t pos = p; pos < all.size(); ++pos) {
+        ASSERT_FALSE(started.done()) << order.to_string() << " at " << p;
+        ASSERT_FALSE(jumped.done()) << order.to_string() << " at " << p;
+        ASSERT_EQ(started.position(), pos);
+        ASSERT_EQ(started.current(), all[pos])
+            << order.to_string() << " from " << p << " at " << pos;
+        ASSERT_EQ(jumped.current(), all[pos])
+            << order.to_string() << " from " << p << " at " << pos;
+        started.next();
+        jumped.next();
+      }
+      EXPECT_TRUE(started.done());
+      EXPECT_TRUE(jumped.done());
+    }
+  }
+}
+
+TEST(OrderWalker, SeekPastTheEndThrows) {
+  const auto space = IterationSpace::from_extents({3, 4});
+  OrderWalker walker(space, IterationOrder::identity(2));
+  EXPECT_THROW(walker.seek(13), mlsc::Error);
+}
 
 }  // namespace
 }  // namespace mlsc::poly
