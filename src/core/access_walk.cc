@@ -1,5 +1,7 @@
 #include "core/access_walk.h"
 
+#include <algorithm>
+
 #include "support/check.h"
 
 namespace mlsc::core {
@@ -28,6 +30,7 @@ AccessWalk::AccessWalk(const poly::Program& program, const DataSpace& space,
   // the element is too; an indirect reference's table position is its
   // rank-1 map itself.
   const std::size_t depth = nest.depth();
+  inner_ = order.is_identity() ? depth - 1 : order.permutation.back();
   const std::size_t n = nest.refs.size();
   refs_.resize(n);
   coeffs_.assign(depth * n, 0);
@@ -35,6 +38,7 @@ AccessWalk::AccessWalk(const poly::Program& program, const DataSpace& space,
     const poly::ArrayRef& ref = nest.refs[r];
     Ref& out = refs_[r];
     out.array = ref.array;
+    out.element_size = program.array(ref.array).element_size_bytes;
     out.is_write = ref.is_write;
     if (ref.is_indirect()) {
       MLSC_CHECK(ref.map.rank() == 1, "indirect references use a rank-1 map");
@@ -46,9 +50,10 @@ AccessWalk::AccessWalk(const poly::Program& program, const DataSpace& space,
       continue;
     }
     const poly::ArrayDecl& array = program.array(ref.array);
-    MLSC_CHECK(ref.map.rank() <= array.dims.size(),
-               "index arity " << ref.map.rank() << " > rank "
-                              << array.dims.size());
+    MLSC_CHECK(ref.map.rank() == array.dims.size(),
+               "index arity " << ref.map.rank() << " != rank "
+                              << array.dims.size() << " of array "
+                              << array.name);
     std::int64_t stride = 1;
     for (std::size_t d = ref.map.rank(); d-- > 0;) {
       const poly::AffineExpr& expr = ref.map.expr(d);
@@ -61,15 +66,24 @@ AccessWalk::AccessWalk(const poly::Program& program, const DataSpace& space,
   }
   values_.resize(n);
   accesses_.reserve(n);
+  open_range(0);
+}
+
+void AccessWalk::open_range(std::size_t range) {
+  range_ = range;
   while (range_ < ranges_.size() &&
          ranges_[range_].begin == ranges_[range_].end) {
     ++range_;
   }
-  if (!done()) position_ = ranges_[range_].begin;
+  fresh_ = true;
+}
+
+void AccessWalk::end_visit() {
+  if (walker_.position() + 1 == ranges_[range_].end) open_range(range_ + 1);
 }
 
 void AccessWalk::start_range() {
-  walker_.seek(position_);
+  walker_.seek(ranges_[range_].begin);
   at_ = walker_.current();
   const std::size_t n = refs_.size();
   for (std::size_t r = 0; r < n; ++r) {
@@ -81,12 +95,23 @@ void AccessWalk::start_range() {
   }
 }
 
+void AccessWalk::step_in_row(std::uint64_t count) {
+  walker_.skip_in_row(count);
+  const auto steps = static_cast<std::int64_t>(count);
+  at_[inner_] += steps;
+  const std::size_t n = refs_.size();
+  const std::int64_t* coeff = &coeffs_[inner_ * n];
+  for (std::size_t r = 0; r < n; ++r) values_[r] += coeff[r] * steps;
+}
+
 std::span<const ChunkAccess> AccessWalk::next() {
   MLSC_DCHECK(!done(), "next() past the end of the walk");
   const std::size_t n = refs_.size();
   if (fresh_) {
     start_range();
     fresh_ = false;
+  } else if (walker_.row_remaining() > 0) {
+    step_in_row(1);
   } else {
     walker_.next();
     const poly::Iteration& iter = walker_.current();
@@ -115,18 +140,48 @@ std::span<const ChunkAccess> AccessWalk::next() {
       accesses_.push_back(ChunkAccess{c, ref.is_write});
     }
   }
-
-  if (++position_ == ranges_[range_].end) {
-    do {
-      ++range_;
-    } while (range_ < ranges_.size() &&
-             ranges_[range_].begin == ranges_[range_].end);
-    if (!done()) {
-      fresh_ = true;
-      position_ = ranges_[range_].begin;
-    }
-  }
+  end_visit();
   return accesses_;
+}
+
+std::uint64_t AccessWalk::repeats() const {
+  if (done() || fresh_) return 0;  // the last next() ended its range
+  std::uint64_t count = std::min(walker_.row_remaining(),
+                                 ranges_[range_].end - 1 - walker_.position());
+  // A one-iteration row never steps, so its coefficient, which the array
+  // bounds do not constrain, is never read.
+  if (count == 0) return 0;
+  const std::uint64_t chunk = space_.chunk_size_bytes();
+  const std::size_t n = refs_.size();
+  const std::int64_t* coeff = &coeffs_[inner_ * n];
+  for (std::size_t r = 0; r < n && count > 0; ++r) {
+    const std::int64_t stride = coeff[r];
+    if (stride == 0) continue;
+    const Ref& ref = refs_[r];
+    if (ref.table != nullptr) return 0;
+    // Arrays start on chunk boundaries.  Each of the element's first and
+    // last bytes may move up to its chunk's edge in the direction of
+    // travel.
+    const std::uint64_t first =
+        static_cast<std::uint64_t>(values_[r]) * ref.element_size;
+    const std::uint64_t last = first + ref.element_size - 1;
+    const std::uint64_t step =
+        static_cast<std::uint64_t>(stride > 0 ? stride : -stride) *
+        ref.element_size;
+    const std::uint64_t room =
+        stride > 0 ? std::min(chunk - 1 - first % chunk,
+                              chunk - 1 - last % chunk)
+                   : std::min(first % chunk, last % chunk);
+    count = std::min(count, room / step);
+  }
+  return count;
+}
+
+void AccessWalk::skip(std::uint64_t count) {
+  if (count == 0) return;
+  MLSC_DCHECK(count <= repeats(), "skip past the repeats of an iteration");
+  step_in_row(count);
+  end_visit();
 }
 
 }  // namespace mlsc::core

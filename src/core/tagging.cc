@@ -1,9 +1,9 @@
 #include "core/tagging.h"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 
+#include "core/access_walk.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "support/check.h"
@@ -100,125 +100,40 @@ struct TagRun {
   std::uint64_t end = 0;
 };
 
-/// One reference as the walk sees it.  A direct reference's flat element
-/// moves by a constant `stride` per innermost step (the sum over dims of
-/// the innermost coefficient times the dim's row-major stride), so its
-/// chunk span stays put for a number of steps one division predicts.
-struct RefWalk {
-  const poly::ArrayRef* ref = nullptr;
-  std::uint64_t element_size = 0;
-  std::int64_t stride = 0;
-  std::uint64_t flat = 0;  // current element (direct references)
-};
-
-std::vector<RefWalk> plan_refs(const poly::Program& program,
-                               const poly::LoopNest& nest) {
-  const std::size_t inner = nest.depth() - 1;
-  // A one-iteration innermost loop never steps; its coefficient is then
-  // unconstrained by the array bounds, so it is not folded into a stride.
-  const bool steps = nest.space.loop(inner).extent() > 1;
-  std::vector<RefWalk> refs;
-  refs.reserve(nest.refs.size());
-  for (const auto& ref : nest.refs) {
-    const poly::ArrayDecl& array = program.array(ref.array);
-    RefWalk walk;
-    walk.ref = &ref;
-    walk.element_size = array.element_size_bytes;
-    if (steps && !ref.is_indirect()) {
-      std::int64_t dim_stride = 1;
-      for (std::size_t d = ref.map.rank(); d-- > 0;) {
-        walk.stride += ref.map.expr(d).coeff(inner) * dim_stride;
-        dim_stride *= array.dims[d];
-      }
-    }
-    refs.push_back(walk);
-  }
-  return refs;
-}
-
-/// Innermost steps after the current one for which an element's chunk
-/// span [first, last] stays unchanged: each of its first and last bytes
-/// may move up to its chunk's edge in the direction of travel.
-std::uint64_t steps_in_span(const RefWalk& walk, std::uint64_t chunk_size) {
-  if (walk.stride == 0) return std::numeric_limits<std::uint64_t>::max();
-  const std::uint64_t first = walk.flat * walk.element_size;
-  const std::uint64_t last = first + walk.element_size - 1;
-  const std::uint64_t step =
-      static_cast<std::uint64_t>(walk.stride > 0 ? walk.stride
-                                                 : -walk.stride) *
-      walk.element_size;
-  const std::uint64_t room =
-      walk.stride > 0 ? std::min(chunk_size - 1 - first % chunk_size,
-                                 chunk_size - 1 - last % chunk_size)
-                      : std::min(first % chunk_size, last % chunk_size);
-  return room / step;
-}
-
 /// Tags ranks [lo, hi) of `nest` into the empty `runs`, which receives
-/// the block's maximal runs, interning their tags in `tags`.  The walk evaluates one
-/// footprint per segment: the longest stretch of the innermost loop over
-/// which no direct reference changes its chunk span (an indirect
-/// reference limits it to one step), clipped to the row and to `hi`.
-/// Returns the number of footprints evaluated.
+/// the block's maximal runs, interning their tags in `tags`.  The walk
+/// evaluates one footprint per segment: the iteration it visits and the
+/// ones after it, clipped to the row and to `hi`, that AccessWalk reports
+/// as repeating its accesses.  Returns the number of footprints
+/// evaluated.
 std::uint64_t tag_block(const poly::Program& program,
                         const poly::LoopNest& nest, const DataSpace& space,
                         std::uint64_t lo, std::uint64_t hi, TagTable& tags,
                         std::vector<TagRun>& runs) {
-  std::vector<RefWalk> refs = plan_refs(program, nest);
-  const std::size_t inner = nest.depth() - 1;
-  const std::int64_t inner_upper = nest.space.loop(inner).upper;
-  const std::uint64_t chunk_size = space.chunk_size_bytes();
-  poly::Iteration iter = nest.space.delinearize(lo);
+  const poly::LinearRange block{lo, hi};
+  AccessWalk walk(program, space, nest, poly::IterationOrder{}, {&block, 1});
   std::vector<std::uint32_t> footprint;
   std::uint64_t footprints = 0;
-  bool row_start = true;
-  for (std::uint64_t rank = lo; rank < hi;) {
-    if (row_start) {
-      for (auto& walk : refs) {
-        if (!walk.ref->is_indirect()) {
-          walk.flat = poly::resolve_element(program, *walk.ref, iter);
-        }
-      }
-      row_start = false;
-    }
-    std::uint64_t len = std::min(
-        static_cast<std::uint64_t>(inner_upper - iter[inner]) + 1, hi - rank);
+  for (std::uint64_t rank = lo; !walk.done();) {
     footprint.clear();
-    for (const auto& walk : refs) {
-      std::uint64_t flat = walk.flat;
-      if (walk.ref->is_indirect()) {
-        flat = poly::resolve_element(program, *walk.ref, iter);
-        len = 1;
-      } else {
-        const std::uint64_t steps = steps_in_span(walk, chunk_size);
-        if (steps < len) len = steps + 1;
-      }
-      const auto span = space.element_chunks(walk.ref->array, flat);
-      for (ChunkId c = span.first; c <= span.last; ++c) footprint.push_back(c);
+    for (const ChunkAccess& access : walk.next()) {
+      footprint.push_back(access.chunk);
     }
     std::sort(footprint.begin(), footprint.end());
     footprint.erase(std::unique(footprint.begin(), footprint.end()),
                     footprint.end());
     ++footprints;
+    const std::uint64_t repeats = walk.repeats();
+    walk.skip(repeats);
+    const std::uint64_t end = rank + 1 + repeats;
 
     if (!runs.empty() &&
         std::ranges::equal(tags.bits(runs.back().tag), footprint)) {
-      runs.back().end = rank + len;
+      runs.back().end = end;
     } else {
-      runs.push_back(TagRun{tags.intern(footprint), rank, rank + len});
+      runs.push_back(TagRun{tags.intern(footprint), rank, end});
     }
-
-    rank += len;
-    iter[inner] += static_cast<std::int64_t>(len);
-    for (auto& walk : refs) {
-      walk.flat += static_cast<std::uint64_t>(
-          static_cast<std::int64_t>(len) * walk.stride);
-    }
-    if (iter[inner] > inner_upper && rank < hi) {
-      iter[inner] = inner_upper;
-      nest.space.advance(iter);
-      row_start = true;
-    }
+    rank = end;
   }
   return footprints;
 }

@@ -1,13 +1,15 @@
 // Tag computation: iterations -> iteration chunks (paper §4.2).
 //
-// Walks each nest in lexicographic order and groups iterations by the
-// set of data chunks they touch (their tag).  The footprint is evaluated
-// once per segment of the innermost loop over which no reference changes
-// its chunk span, so the cost follows the number of tag runs rather than
-// iterations.  Consecutive equal-tag iterations extend the current rank
-// range; recurring tags are hash-consed into one iteration chunk with
-// several ranges, exactly matching the paper's definition (an iteration
-// chunk is the set of *all* iterations with one tag).
+// Walks each nest in lexicographic order with core::AccessWalk and
+// groups iterations by the set of data chunks they touch (their tag).
+// The footprint is evaluated once per segment of the innermost loop over
+// which no reference changes its chunk span (AccessWalk::repeats), so
+// the cost follows the number of tag runs rather than iterations.  The
+// walk's bound of 255 chunks per iteration holds here too.
+// Consecutive equal-tag iterations extend the current rank range;
+// recurring tags are hash-consed into one iteration chunk with several
+// ranges, exactly matching the paper's definition (an iteration chunk is
+// the set of *all* iterations with one tag).
 #pragma once
 
 #include <cstdint>

@@ -56,27 +56,6 @@ Iteration IterationSpace::delinearize(std::uint64_t rank) const {
   return iter;
 }
 
-bool IterationSpace::advance(Iteration& iter) const {
-  MLSC_DCHECK(iter.size() == bounds_.size(), "iteration arity mismatch");
-  for (std::size_t k = bounds_.size(); k-- > 0;) {
-    if (iter[k] < bounds_[k].upper) {
-      ++iter[k];
-      for (std::size_t j = k + 1; j < bounds_.size(); ++j) {
-        iter[j] = bounds_[j].lower;
-      }
-      return true;
-    }
-  }
-  return false;
-}
-
-Iteration IterationSpace::first() const {
-  MLSC_CHECK(!empty(), "first() on empty iteration space");
-  Iteration iter(bounds_.size());
-  for (std::size_t k = 0; k < bounds_.size(); ++k) iter[k] = bounds_[k].lower;
-  return iter;
-}
-
 std::string IterationSpace::to_string() const {
   std::ostringstream out;
   out << "{";

@@ -3,7 +3,7 @@
 // The paper's polyhedral set G = {(i1..in) | Lk <= ik <= Uk} (§4.1).
 // Iteration chunks are stored as ranges of the lexicographic
 // linearization of this space, so the space provides linearize /
-// delinearize and sequential walking.
+// delinearize; poly::OrderWalker walks it.
 #pragma once
 
 #include <cstdint>
@@ -48,14 +48,6 @@ class IterationSpace {
 
   /// Inverse of linearize.
   Iteration delinearize(std::uint64_t rank) const;
-
-  /// Advances `iter` to the lexicographic successor in place; returns
-  /// false when `iter` was the last iteration.  Cheaper than repeated
-  /// delinearize when walking ranges.
-  bool advance(Iteration& iter) const;
-
-  /// The first iteration (all lower bounds); space must be non-empty.
-  Iteration first() const;
 
   std::string to_string() const;
   bool operator==(const IterationSpace&) const = default;

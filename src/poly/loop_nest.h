@@ -110,9 +110,9 @@ struct Program {
 
 /// The flat element index `ref` accesses at `iter` — the one place that
 /// understands both direct (row-major affine) and indirect (index-table)
-/// references.  Used by tagging and its reference footprint
-/// (core::iteration_footprint); core::AccessWalk keeps the same element
-/// as a running value.
+/// references.  The reference footprint (core::iteration_footprint) is
+/// built on it; core::AccessWalk keeps the same element as a running
+/// value.
 std::uint64_t resolve_element(const Program& program, const ArrayRef& ref,
                               std::span<const std::int64_t> iter);
 

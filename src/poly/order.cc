@@ -64,6 +64,15 @@ OrderWalker::OrderWalker(const IterationSpace& space, IterationOrder order,
                          std::uint64_t position)
     : space_(space), order_(std::move(order)), depth_(space.depth()) {
   order_.validate(space_);
+  // An untiled order is walked as one tile spanning the space: the same
+  // sequence, with rows that skip_in_row() can step along.
+  if (std::ranges::all_of(order_.tile_sizes,
+                          [](std::int64_t t) { return t == 1; })) {
+    for (std::size_t axis = 0; axis < depth_; ++axis) {
+      order_.tile_sizes[axis] =
+          std::max<std::int64_t>(1, space_.loop(axis).extent());
+    }
+  }
   tile_counts_.resize(depth_);
   tile_index_.assign(depth_, 0);
   point_extent_.resize(depth_);

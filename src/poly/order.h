@@ -55,6 +55,22 @@ class OrderWalker {
   /// Jumps to `position` (at most the space's size) in O(depth).
   void seek(std::uint64_t position);
 
+  /// Positions after the current one in its row, the innermost point
+  /// loop of its tile, along which only loop `permutation.back()` moves.
+  /// Always zero when some loops are tiled but the innermost is not.
+  std::uint64_t row_remaining() const {
+    return static_cast<std::uint64_t>(point_extent_[depth_ - 1] - 1 -
+                                      point_index_[depth_ - 1]);
+  }
+
+  /// Moves `count` (at most row_remaining()) steps along the row in O(1).
+  void skip_in_row(std::uint64_t count) {
+    position_ += count;
+    point_index_[depth_ - 1] += static_cast<std::int64_t>(count);
+    current_[order_.permutation[depth_ - 1]] +=
+        static_cast<std::int64_t>(count);
+  }
+
   /// Position in the transformed sequence, starting at 0.
   std::uint64_t position() const { return position_; }
 

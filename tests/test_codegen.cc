@@ -56,11 +56,9 @@ TEST(CodegenProperty, BoxesPartitionRanges) {
     std::vector<int> seen(space.size(), 0);
     for (const auto& box : boxes) {
       IterationSpace box_space(box);
-      if (box_space.empty()) continue;
-      Iteration iter = box_space.first();
-      do {
-        ++seen[space.linearize(iter)];
-      } while (box_space.advance(iter));
+      for (std::uint64_t r = 0; r < box_space.size(); ++r) {
+        ++seen[space.linearize(box_space.delinearize(r))];
+      }
     }
     for (std::uint64_t r = 0; r < space.size(); ++r) {
       EXPECT_EQ(seen[r], member[r] ? 1 : 0) << "rank " << r;

@@ -66,7 +66,7 @@ TEST(Engine, ColdStreamMissesEverywhere) {
 TEST(Engine, RereadHitsClientCache) {
   // Two passes over 4 chunks per client: the second pass hits L1.
   poly::Program p;
-  const auto a = p.add_array({"A", {2, 16}, 64 * kKiB});
+  const auto a = p.add_array({"A", {16}, 64 * kKiB});
   poly::LoopNest nest;
   nest.space = poly::IterationSpace::from_extents({2, 16});
   nest.refs = {{a, poly::AccessMap::from_matrix({{0, 1}}, {0}), false}};
@@ -85,7 +85,7 @@ TEST(Engine, StallComponentsSumToTotalIoTime) {
   // in both a disk-dominated and a cache-dominated run.
   const poly::Program programs[] = {streaming_program(128), [] {
     poly::Program p;
-    const auto a = p.add_array({"A", {2, 16}, 64 * kKiB});
+    const auto a = p.add_array({"A", {16}, 64 * kKiB});
     poly::LoopNest nest;
     nest.space = poly::IterationSpace::from_extents({2, 16});
     nest.refs = {{a, poly::AccessMap::from_matrix({{0, 1}}, {0}), false}};

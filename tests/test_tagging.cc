@@ -7,6 +7,7 @@
 #include <optional>
 #include <unordered_map>
 
+#include "obs/metrics.h"
 #include "support/rng.h"
 #include "support/thread_pool.h"
 
@@ -130,6 +131,65 @@ TEST(Tagging, MultiNestChunksCarryNestIds) {
   EXPECT_TRUE(saw_nest1);
 }
 
+/// Footprints a serial tagging of nest 0 evaluates, and its chunk count.
+std::pair<std::uint64_t, std::size_t> tag_counting(const poly::Program& p,
+                                                   std::uint64_t chunk_bytes) {
+  const bool was_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  obs::Registry::global().reset();
+  const DataSpace space(p, chunk_bytes);
+  const std::vector<poly::NestId> nests{0};
+  const auto result = compute_iteration_chunks(p, space, nests);
+  const std::uint64_t footprints =
+      obs::Registry::global().counter("pipeline.tagging_footprints").value();
+  obs::set_metrics_enabled(was_enabled);
+  return {footprints, result.chunks.size()};
+}
+
+TEST(Tagging, FootprintsFollowChunkSpans) {
+  // 64-B elements in 1 KiB chunks: 16 iterations per chunk, one
+  // footprint each.
+  {
+    poly::Program p;
+    const auto a = p.add_array({"A", {256}, 64});
+    poly::LoopNest nest;
+    nest.space = poly::IterationSpace::from_extents({256});
+    nest.refs = {{a, poly::AccessMap::identity(1, {0}), false}};
+    p.add_nest(std::move(nest));
+    EXPECT_EQ(tag_counting(p, 1024), (std::pair<std::uint64_t, std::size_t>{
+                                         16, 16}));
+  }
+  // Rows of 24 elements end mid-chunk: each row splits into two
+  // segments (16 + 8, then 8 + 16), though the two halves of chunk 1 on
+  // either side of a row end share one tag and so one chunk.
+  {
+    poly::Program p;
+    const auto a = p.add_array({"A", {4, 24}, 64});
+    poly::LoopNest nest;
+    nest.space = poly::IterationSpace::from_extents({4, 24});
+    nest.refs = {{a, poly::AccessMap::identity(2, {0, 0}), false}};
+    p.add_nest(std::move(nest));
+    EXPECT_EQ(tag_counting(p, 1024),
+              (std::pair<std::uint64_t, std::size_t>{8, 6}));
+  }
+  // An indirect reference that moves along the row takes one footprint
+  // per iteration, even when every entry names the same element.
+  {
+    poly::Program p;
+    const auto a = p.add_array({"A", {16}, 64});
+    poly::LoopNest nest;
+    nest.space = poly::IterationSpace::from_extents({64});
+    poly::ArrayRef ref{a, poly::AccessMap::identity(1, {0}), false};
+    ref.index_table =
+        p.add_index_table({"idx", std::vector<std::int64_t>(64, 0)});
+    nest.refs = {ref};
+    p.add_nest(std::move(nest));
+    p.validate();
+    EXPECT_EQ(tag_counting(p, 1024),
+              (std::pair<std::uint64_t, std::size_t>{64, 1}));
+  }
+}
+
 TEST(Tagging, FootprintHelperMatchesRefs) {
   const auto p = fig6_program();
   const DataSpace space(p, 64 * 8);
@@ -155,9 +215,9 @@ std::vector<IterationChunk> reference_chunks(
   for (poly::NestId nest_id : nests) {
     const poly::LoopNest& nest = program.nest(nest_id);
     if (nest.space.empty()) continue;
-    poly::Iteration iter = nest.space.first();
     for (std::uint64_t rank = 0; rank < nest.space.size(); ++rank) {
-      iteration_footprint(program, nest, space, iter, footprint);
+      iteration_footprint(program, nest, space, nest.space.delinearize(rank),
+                          footprint);
       auto [it, inserted] =
           index.try_emplace(ChunkTag::from_bits(footprint), chunks.size());
       if (inserted) {
@@ -173,7 +233,6 @@ std::vector<IterationChunk> reference_chunks(
         chunk.ranges.push_back(poly::LinearRange{rank, rank + 1});
       }
       chunk.iterations += 1;
-      nest.space.advance(iter);
     }
     index.clear();
   }

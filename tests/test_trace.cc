@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -173,6 +174,44 @@ TEST(Trace, TransformedOrderVisitsSameChunksAsIdentity) {
             count_accesses(core::MapperKind::kIntraProcessor));
 }
 
+/// Every position's accesses under `order`, each reference resolved from
+/// scratch.
+std::vector<std::vector<core::ChunkAccess>> oracle_accesses(
+    const poly::Program& p, const core::DataSpace& space,
+    const poly::LoopNest& nest, const poly::IterationOrder& order) {
+  std::vector<std::vector<core::ChunkAccess>> oracle;
+  for (poly::OrderWalker w(nest.space, order); !w.done(); w.next()) {
+    auto& out = oracle.emplace_back();
+    for (const poly::ArrayRef& ref : nest.refs) {
+      const auto span = space.element_chunks(
+          ref.array, poly::resolve_element(p, ref, w.current()));
+      for (core::ChunkId c = span.first; c <= span.last; ++c) {
+        out.push_back(core::ChunkAccess{c, ref.is_write});
+      }
+    }
+  }
+  return oracle;
+}
+
+/// Random sorted disjoint ranges over [0, size).
+std::vector<poly::LinearRange> random_ranges(Rng& rng, std::uint64_t size) {
+  std::vector<poly::LinearRange> ranges;
+  for (std::uint64_t pos = rng.next_below(3); pos < size;) {
+    const std::uint64_t end =
+        std::min<std::uint64_t>(size, pos + rng.next_below(40));
+    ranges.push_back(poly::LinearRange{pos, end});
+    pos = end + rng.next_below(60);
+  }
+  return ranges;
+}
+
+bool same_accesses(std::span<const core::ChunkAccess> a,
+                   std::span<const core::ChunkAccess> b) {
+  return std::ranges::equal(a, b, [](const auto& x, const auto& y) {
+    return x.chunk == y.chunk && x.is_write == y.is_write;
+  });
+}
+
 TEST(AccessWalk, MatchesResolveElementOverRandomRanges) {
   // Oracle: walk the whole order from 0 and resolve every reference of
   // every iteration from scratch.  The walk over random sorted disjoint
@@ -189,25 +228,9 @@ TEST(AccessWalk, MatchesResolveElementOverRandomRanges) {
         order.permutation = {1, 0};
         order.tile_sizes = {5, 3};
       }
-      std::vector<std::vector<core::ChunkAccess>> oracle;
-      for (poly::OrderWalker w(nest.space, order); !w.done(); w.next()) {
-        auto& out = oracle.emplace_back();
-        for (const poly::ArrayRef& ref : nest.refs) {
-          const auto span = space.element_chunks(
-              ref.array, poly::resolve_element(*p, ref, w.current()));
-          for (core::ChunkId c = span.first; c <= span.last; ++c) {
-            out.push_back(core::ChunkAccess{c, ref.is_write});
-          }
-        }
-      }
+      const auto oracle = oracle_accesses(*p, space, nest, order);
       for (int trial = 0; trial < 20; ++trial) {
-        std::vector<poly::LinearRange> ranges;
-        for (std::uint64_t pos = rng.next_below(3); pos < oracle.size();) {
-          const std::uint64_t end =
-              std::min<std::uint64_t>(oracle.size(), pos + rng.next_below(40));
-          ranges.push_back(poly::LinearRange{pos, end});
-          pos = end + rng.next_below(60);
-        }
+        const auto ranges = random_ranges(rng, oracle.size());
         core::AccessWalk walk(*p, space, nest, order, ranges);
         for (const poly::LinearRange& range : ranges) {
           for (std::uint64_t pos = range.begin; pos < range.end; ++pos) {
@@ -226,6 +249,53 @@ TEST(AccessWalk, MatchesResolveElementOverRandomRanges) {
   }
 }
 
+TEST(AccessWalk, SkipsOnlyRepeatedIterations) {
+  // After each next(), every one of the repeats() positions that follow
+  // must repeat its accesses, and a skip of any part of them must land
+  // where the oracle says.
+  const workloads::Workload irregular = workloads::make_irregular(0.0625);
+  const poly::Program transposed = transposed_program();
+  Rng rng(11);
+  std::uint64_t skipped = 0;
+  for (const poly::Program* p : {&transposed, &irregular.program}) {
+    const core::DataSpace space(*p, 128);
+    for (const poly::LoopNest& nest : p->nests) {
+      for (const bool tiled : {false, true}) {
+        poly::IterationOrder order =
+            poly::IterationOrder::identity(nest.depth());
+        if (tiled && nest.depth() == 2) {
+          order.permutation = {1, 0};
+          order.tile_sizes = {5, 3};
+        }
+        const auto oracle = oracle_accesses(*p, space, nest, order);
+        for (int trial = 0; trial < 10; ++trial) {
+          const auto ranges = random_ranges(rng, oracle.size());
+          core::AccessWalk walk(*p, space, nest, order, ranges);
+          for (const poly::LinearRange& range : ranges) {
+            for (std::uint64_t pos = range.begin; pos < range.end;) {
+              ASSERT_FALSE(walk.done());
+              ASSERT_TRUE(same_accesses(walk.next(), oracle[pos]))
+                  << nest.name << " " << pos;
+              const std::uint64_t repeats = walk.repeats();
+              ASSERT_LT(pos + repeats, range.end);
+              for (std::uint64_t r = 1; r <= repeats; ++r) {
+                EXPECT_TRUE(same_accesses(oracle[pos + r], oracle[pos]))
+                    << nest.name << " " << pos << "+" << r;
+              }
+              const std::uint64_t count = rng.next_below(repeats + 1);
+              walk.skip(count);
+              skipped += count;
+              pos += 1 + count;
+            }
+          }
+          EXPECT_TRUE(walk.done());
+        }
+      }
+    }
+  }
+  EXPECT_GT(skipped, 0u);
+}
+
 TEST(AccessWalk, RejectsAnIterationOverTheChunkLimit) {
   // One element of 256 chunks: a single iteration would issue 256
   // accesses, one more than an iteration may.
@@ -240,6 +310,21 @@ TEST(AccessWalk, RejectsAnIterationOverTheChunkLimit) {
   core::AccessWalk walk(p, space, p.nest(0),
                         poly::IterationOrder::identity(1), {&all, 1});
   EXPECT_THROW(walk.next(), mlsc::Error);
+}
+
+TEST(AccessWalk, RejectsAMapOfTheWrongArity) {
+  // A rank-1 map cannot address a rank-2 array.
+  poly::Program p;
+  const auto a = p.add_array({"A", {2, 16}, 64});
+  poly::LoopNest nest;
+  nest.space = poly::IterationSpace::from_extents({2, 16});
+  nest.refs = {{a, poly::AccessMap::from_matrix({{0, 1}}, {0}), false}};
+  p.add_nest(std::move(nest));
+  const core::DataSpace space(p, 128);
+  const poly::LinearRange all{0, 32};
+  EXPECT_THROW(core::AccessWalk(p, space, p.nest(0),
+                                poly::IterationOrder::identity(2), {&all, 1}),
+               mlsc::Error);
 }
 
 /// FNV-1a (64-bit) over each iteration's access count (1 byte), then per
