@@ -88,7 +88,6 @@ int main(int argc, char** argv) {
   bench::set_record_seed(kSeed);
 
   sim::MachineConfig config;
-  config.workload_size_factor = size_factor;
   const core::PipelineOptions scheme = core::PipelineOptions::inter();
 
   // Failover detection at multipath-probe scale: the failed node is

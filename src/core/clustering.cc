@@ -539,7 +539,7 @@ void cluster_to_count(std::vector<Cluster>& clusters, std::size_t target,
     const bool use_forest =
         options.algorithm == ClusterOptions::Algorithm::kForest ||
         (options.algorithm == ClusterOptions::Algorithm::kAuto &&
-         clusters.size() >= options.forest_threshold);
+         clusters.size() >= kForestThreshold);
     if (use_forest) {
       forest_to_count(clusters, target, pool);
     } else {

@@ -14,7 +14,7 @@
 //     level's fan-out (single-linkage semantics) — both from
 //     core/affinity_forest, shared with the online service.
 //     Deterministic at any thread count.
-// kAuto (the default) uses the greedy kernel below forest_threshold
+// kAuto (the default) uses the greedy kernel below kForestThreshold
 // input clusters and the forest at or above it, so paper-scale inputs
 // keep the oracle's bit-exact mappings while large sweeps get the
 // sub-quadratic path.
@@ -59,7 +59,7 @@ std::vector<Cluster> make_singletons(
 
 struct ClusterOptions {
   enum class Algorithm {
-    /// Greedy below forest_threshold inputs, affinity forest at or
+    /// Greedy below kForestThreshold inputs, affinity forest at or
     /// above.  The default: paper-scale cluster sets keep the greedy
     /// oracle's exact result, large sets get the scalable kernel.
     kAuto,
@@ -69,14 +69,14 @@ struct ClusterOptions {
     kForest,
   };
   Algorithm algorithm = Algorithm::kAuto;
-
-  /// kAuto switches from greedy to the affinity forest at this many
-  /// input clusters.  The default sits above the pipeline's 4096-chunk
-  /// coarsening cap so every registry workload — at any size factor —
-  /// keeps the greedy oracle's bit-exact mapping; only direct map_chunks
-  /// callers with larger tables (benches, library users) cross over.
-  std::size_t forest_threshold = 8192;
 };
+
+/// kAuto switches from greedy to the affinity forest at this many input
+/// clusters.  It sits above the pipeline's 4096-chunk coarsening cap so
+/// every registry workload — at any size factor — keeps the greedy
+/// oracle's bit-exact mapping; only direct map_chunks callers with
+/// larger tables (benches, library users) cross over.
+inline constexpr std::size_t kForestThreshold = 8192;
 
 /// Reduces or expands `clusters` to exactly `target` clusters:
 ///   - while |clusters| > target, merge by data-sharing affinity — the

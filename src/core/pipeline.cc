@@ -31,6 +31,20 @@ std::uint64_t client_cache_bytes(const topology::HierarchyTree& tree) {
   return bytes;
 }
 
+/// The chunk dependences of every nest in `nests` over `chunks`.
+std::vector<ChunkDependence> nest_dependences(
+    const poly::Program& program, std::span<const poly::NestId> nests,
+    std::span<const IterationChunk> chunks) {
+  obs::Span span("pipeline.dependences");
+  std::vector<ChunkDependence> all;
+  for (const poly::NestId nest_id : nests) {
+    const auto deps = find_chunk_dependences(program, nest_id, chunks);
+    all.insert(all.end(), deps.begin(), deps.end());
+  }
+  span.arg("edges", static_cast<std::uint64_t>(all.size()));
+  return all;
+}
+
 }  // namespace
 
 MappingPipeline::MappingPipeline(const topology::HierarchyTree& tree,
@@ -69,19 +83,9 @@ MappingResult MappingPipeline::run(const poly::Program& program,
 
   // Dependence handling, strategy 1: pre-merge dependent chunks so the
   // clustering can never separate them.
-  std::vector<ChunkDependence> all_deps;
-  {
-    obs::Span span("pipeline.dependences");
-    for (poly::NestId nest_id : nests) {
-      auto deps = find_chunk_dependences(program, nest_id, chunks);
-      all_deps.insert(all_deps.end(), deps.begin(), deps.end());
-    }
-    span.arg("edges", static_cast<std::uint64_t>(all_deps.size()));
-  }
-  if (options_.dependences == DependenceStrategy::kMergeClusters &&
-      !all_deps.empty()) {
-    chunks = merge_dependent_chunks(std::move(chunks), all_deps);
-    all_deps.clear();
+  if (options_.dependences == DependenceStrategy::kMergeClusters) {
+    const auto deps = nest_dependences(program, nests, chunks);
+    if (!deps.empty()) chunks = merge_dependent_chunks(std::move(chunks), deps);
   }
 
   HierarchicalMapperOptions mapper_options;
@@ -96,18 +100,13 @@ MappingResult MappingPipeline::run(const poly::Program& program,
     schedule_mapping(mapping, tree_, options_.scheduler);
   }
 
-  // Dependence handling, strategy 2: chunk indices may have been split by
-  // the balancer, but splits keep both halves' indices valid and the
-  // dependences were computed pre-split on the same table prefix; any
-  // residual pairs resolve against the final placement here.
+  // Dependence handling, strategy 2: the dependences are found on the
+  // final chunk table (the balancer's splits included) and resolved
+  // against the final placement.
   if (options_.dependences == DependenceStrategy::kSynchronize) {
-    std::vector<ChunkDependence> final_deps;
-    for (poly::NestId nest_id : nests) {
-      auto deps = find_chunk_dependences(program, nest_id,
-                                         mapping.chunk_table);
-      final_deps.insert(final_deps.end(), deps.begin(), deps.end());
-    }
-    insert_sync_edges(mapping, final_deps, &program);
+    insert_sync_edges(mapping,
+                      nest_dependences(program, nests, mapping.chunk_table),
+                      &program);
   }
   return mapping;
 }

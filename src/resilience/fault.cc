@@ -1,16 +1,14 @@
 #include "resilience/fault.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
-#include <fstream>
 #include <limits>
 #include <sstream>
 #include <string_view>
 
 #include "support/check.h"
-#include "support/json.h"
-#include "support/rng.h"
 #include "support/string_util.h"
 
 namespace mlsc::resilience {
@@ -86,6 +84,26 @@ Nanoseconds parse_spec_time(std::string_view text, const char* what) {
   return static_cast<Nanoseconds>(std::llround(value * scale));
 }
 
+/// A decimal integer of type T: digits only (no sign, no fraction, no
+/// exponent), nothing after them, and within T's range.
+template <typename T>
+T parse_spec_integer(std::string_view text, const char* what) {
+  T value{};
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, value);
+  if (text.empty() || text[0] == '-' || ec == std::errc::invalid_argument ||
+      end != last) {
+    throw Error(std::string("fault spec: malformed ") + what + " '" +
+                std::string(text) + "' (expected a nonnegative integer)");
+  }
+  if (ec == std::errc::result_out_of_range) {
+    throw Error(std::string("fault spec: ") + what + " '" +
+                std::string(text) + "' out of range (at most " +
+                std::to_string(std::numeric_limits<T>::max()) + ")");
+  }
+  return value;
+}
+
 /// "l2" (all nodes of the level) or "l2.0" (node 0 of the level).
 void parse_spec_target(std::string_view text, FaultEvent& event) {
   if (text.size() < 2 || text[0] != 'l') {
@@ -93,20 +111,14 @@ void parse_spec_target(std::string_view text, FaultEvent& event) {
                 "' (expected lLEVEL or lLEVEL.NODE)");
   }
   const std::size_t dot = text.find('.');
-  const std::string_view level_part = text.substr(1, dot - 1);
-  event.level = static_cast<std::uint32_t>(
-      parse_spec_number(level_part, "target level"));
+  event.level = parse_spec_integer<std::uint32_t>(
+      text.substr(1, dot - 1), "target level");
   level_kind(event.level);  // validates the range
-  if (dot == std::string_view::npos) {
-    event.node_index = -1;
-  } else {
-    event.node_index = static_cast<std::int32_t>(
-        parse_spec_number(text.substr(dot + 1), "target node index"));
-    if (event.node_index < 0) {
-      throw Error("fault spec: negative node index in target '" +
-                  std::string(text) + "'");
-    }
-  }
+  event.node_index =
+      dot == std::string_view::npos
+          ? -1
+          : parse_spec_integer<std::int32_t>(text.substr(dot + 1),
+                                             "target node index");
 }
 
 /// Applies "key=value,key=value" option lists for degrade/transient.
@@ -149,52 +161,6 @@ void validate_event(const FaultEvent& event) {
         throw Error("fault schedule: transient error rates must be in [0, 1]");
       }
     }
-  }
-}
-
-/// `rand@SEED:n=N:horizon=T` — N deterministic events from Rng(SEED):
-/// a fail-stop/recover pair on one I/O or storage node plus degradations,
-/// transient rates and stalls spread over the horizon.
-void generate_random_events(std::uint64_t seed, std::uint64_t count,
-                            Nanoseconds horizon, FaultSchedule& schedule) {
-  MLSC_CHECK(horizon > 0, "fault spec: rand horizon must be positive");
-  Rng rng(seed);
-  schedule.seed = seed;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    FaultEvent event;
-    event.at = rng.next_below(horizon);
-    switch (rng.next_below(4)) {
-      case 0:
-        event.kind = FaultKind::kFailStop;
-        event.level = 2 + static_cast<std::uint32_t>(rng.next_below(2));
-        event.node_index = rng.next_below(2) == 0 ? -1 : 0;
-        // Pair every fail-stop with a later recovery so long random
-        // schedules do not drive the hierarchy to a dead end.
-        {
-          FaultEvent recover = event;
-          recover.kind = FaultKind::kRecover;
-          recover.at = event.at + 1 + rng.next_below(horizon);
-          schedule.add(recover);
-        }
-        break;
-      case 1:
-        event.kind = FaultKind::kDegrade;
-        event.level = 2 + static_cast<std::uint32_t>(rng.next_below(2));
-        event.node_index = rng.next_below(2) == 0 ? -1 : 0;
-        event.latency_factor = 2.0 + static_cast<double>(rng.next_below(7));
-        event.capacity_divisor = 1.0 + static_cast<double>(rng.next_below(4));
-        break;
-      case 2:
-        event.kind = FaultKind::kTransient;
-        event.disk_error_rate = rng.next_double() * 0.05;
-        event.net_error_rate = rng.next_double() * 0.02;
-        break;
-      default:
-        event.kind = FaultKind::kStall;
-        event.duration = 10 * kMicrosecond + rng.next_below(kMillisecond);
-        break;
-    }
-    schedule.add(event);
   }
 }
 
@@ -268,75 +234,6 @@ std::string FaultSchedule::to_string() const {
   return join(parts, "; ") + " (seed " + std::to_string(seed) + ")";
 }
 
-FaultSchedule parse_fault_schedule_json(const JsonValue& doc) {
-  if (!doc.is_object()) {
-    throw Error("fault schedule: top-level JSON value must be an object");
-  }
-  FaultSchedule schedule;
-  if (const JsonValue* seed = doc.find("seed")) {
-    if (!seed->is_number()) {
-      throw Error("fault schedule: \"seed\" must be a number");
-    }
-    schedule.seed = static_cast<std::uint64_t>(seed->as_number());
-  }
-  const JsonValue* events = doc.find("events");
-  if (events == nullptr || !events->is_array()) {
-    throw Error("fault schedule: missing \"events\" array");
-  }
-  for (const JsonValue& item : events->as_array()) {
-    if (!item.is_object()) {
-      throw Error("fault schedule: every event must be a JSON object");
-    }
-    FaultEvent event;
-    const JsonValue* kind = item.find("kind");
-    if (kind == nullptr || !kind->is_string()) {
-      throw Error("fault schedule: event missing string \"kind\"");
-    }
-    event.kind = kind_from_name(kind->as_string());
-    if (const JsonValue* at = item.find("at_ns")) {
-      event.at = static_cast<Nanoseconds>(at->number_or(0));
-    } else if (const JsonValue* at_ms = item.find("at_ms")) {
-      event.at = static_cast<Nanoseconds>(
-          std::llround(at_ms->number_or(0) * static_cast<double>(kMillisecond)));
-    } else {
-      throw Error("fault schedule: event missing \"at_ns\" or \"at_ms\"");
-    }
-    if (is_targeted(event.kind)) {
-      const JsonValue* level = item.find("level");
-      if (level == nullptr || !level->is_number()) {
-        throw Error(std::string("fault schedule: ") +
-                    fault_kind_name(event.kind) +
-                    " event missing numeric \"level\"");
-      }
-      event.level = static_cast<std::uint32_t>(level->as_number());
-      event.node_index =
-          static_cast<std::int32_t>(item.find("node") != nullptr
-                                        ? item.find("node")->number_or(-1)
-                                        : -1);
-    }
-    event.latency_factor = item.find("latency_factor") != nullptr
-                               ? item.find("latency_factor")->number_or(1.0)
-                               : 1.0;
-    event.capacity_divisor = item.find("capacity_divisor") != nullptr
-                                 ? item.find("capacity_divisor")->number_or(1.0)
-                                 : 1.0;
-    event.disk_error_rate = item.find("disk_error_rate") != nullptr
-                                ? item.find("disk_error_rate")->number_or(0.0)
-                                : 0.0;
-    event.net_error_rate = item.find("net_error_rate") != nullptr
-                               ? item.find("net_error_rate")->number_or(0.0)
-                               : 0.0;
-    if (const JsonValue* duration = item.find("duration_ns")) {
-      event.duration = static_cast<Nanoseconds>(duration->number_or(0));
-    } else if (const JsonValue* duration_ms = item.find("duration_ms")) {
-      event.duration = static_cast<Nanoseconds>(std::llround(
-          duration_ms->number_or(0) * static_cast<double>(kMillisecond)));
-    }
-    schedule.add(event);
-  }
-  return schedule;
-}
-
 FaultSchedule parse_fault_spec(std::string_view spec) {
   FaultSchedule schedule;
   for (const std::string& raw : split(std::string(spec), ';')) {
@@ -346,8 +243,8 @@ FaultSchedule parse_fault_spec(std::string_view spec) {
     const std::string token = raw.substr(begin, raw.find_last_not_of(' ') -
                                                     begin + 1);
     if (token.rfind("seed=", 0) == 0) {
-      schedule.seed = static_cast<std::uint64_t>(
-          parse_spec_number(std::string_view(token).substr(5), "seed"));
+      schedule.seed = parse_spec_integer<std::uint64_t>(
+          std::string_view(token).substr(5), "seed");
       continue;
     }
     const std::vector<std::string> parts = split(token, ':');
@@ -359,26 +256,6 @@ FaultSchedule parse_fault_spec(std::string_view spec) {
     }
     const std::string kind_name = head.substr(0, at);
     const std::string_view time_part = std::string_view(head).substr(at + 1);
-    if (kind_name == "rand") {
-      const std::uint64_t seed = static_cast<std::uint64_t>(
-          parse_spec_number(time_part, "rand seed"));
-      std::uint64_t count = 4;
-      Nanoseconds horizon = 50 * kMillisecond;
-      for (std::size_t i = 1; i < parts.size(); ++i) {
-        const std::string& option = parts[i];
-        if (option.rfind("n=", 0) == 0) {
-          count = static_cast<std::uint64_t>(
-              parse_spec_number(std::string_view(option).substr(2), "rand n"));
-        } else if (option.rfind("horizon=", 0) == 0) {
-          horizon = parse_spec_time(std::string_view(option).substr(8),
-                                    "rand horizon");
-        } else {
-          throw Error("fault spec: unknown rand option '" + option + "'");
-        }
-      }
-      generate_random_events(seed, count, horizon, schedule);
-      continue;
-    }
     FaultEvent event;
     event.kind = kind_from_name(kind_name);
     event.at = parse_spec_time(time_part, "event time");
@@ -401,22 +278,6 @@ FaultSchedule parse_fault_spec(std::string_view spec) {
     schedule.add(event);
   }
   return schedule;
-}
-
-FaultSchedule load_fault_schedule(const std::string& arg) {
-  if (std::ifstream probe(arg); probe.good()) {
-    try {
-      return parse_fault_schedule_json(parse_json_file(arg));
-    } catch (const Error& e) {
-      throw Error("fault schedule file '" + arg + "': " + e.what());
-    }
-  }
-  try {
-    return parse_fault_spec(arg);
-  } catch (const Error& e) {
-    throw Error("fault spec '" + arg + "': " + std::string(e.what()) +
-                " (not an existing file, so parsed as a spec string)");
-  }
 }
 
 FaultInjector::FaultInjector(FaultSchedule schedule, RetryPolicy retry,

@@ -4,8 +4,8 @@
 // cache-level fail-stop (a node drops out, contents lost), degradation
 // (service latency xk, capacity /k), transient disk/network error rates,
 // recovery, and a global stall (the virtual downtime a remap charges).
-// Schedules come from JSON files, from a compact spec string on the
-// command line, or are generated from an RNG spec — all three are
+// Schedules come from one compact spec string — `mlsc_map --faults`,
+// a serve fault event's "spec", or a bench's embedded string — and are
 // deterministic, so the same seed + schedule replays bit-identically.
 //
 // A FaultInjector is the runtime: the engine advances it along the
@@ -17,16 +17,13 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cache/multilevel.h"
 #include "resilience/retry.h"
 #include "support/units.h"
 #include "topology/hierarchy.h"
-
-namespace mlsc {
-class JsonValue;
-}  // namespace mlsc
 
 namespace mlsc::resilience {
 
@@ -78,30 +75,15 @@ struct FaultSchedule {
   std::string to_string() const;
 };
 
-/// Parses the JSON schedule document:
-///   {"seed": 42, "events": [
-///     {"at_ms": 5, "kind": "fail-stop", "level": 2, "node": 0},
-///     {"at_ms": 8, "kind": "degrade", "level": 3, "node": -1,
-///      "latency_factor": 4, "capacity_divisor": 2},
-///     {"at_ms": 0, "kind": "transient", "disk_error_rate": 0.01,
-///      "net_error_rate": 0.001},
-///     {"at_ms": 20, "kind": "recover", "level": 2, "node": 0},
-///     {"at_ms": 10, "kind": "stall", "duration_ms": 2}]}
-/// Unknown kinds, bad levels, and non-object events throw Error.
-FaultSchedule parse_fault_schedule_json(const JsonValue& doc);
-
-/// Parses the compact command-line grammar: ';'-separated events
+/// Parses the compact spec grammar: ';'-separated events
 ///   fail@5ms:l2.0        degrade@8ms:l3:lat=4,cap=2
 ///   transient@0:disk=0.01,net=0.001
 ///   recover@20ms:l2.0    stall@10ms:2ms     seed=42
-/// plus random generation `rand@SEED:n=N:horizon=50ms` (N events drawn
-/// deterministically from Rng(SEED)).  Times accept ns/us/ms/s suffixes
-/// (bare numbers are nanoseconds).  Throws Error on malformed specs.
+/// Times accept ns/us/ms/s suffixes (bare numbers are nanoseconds).
+/// The target's level and node and the seed are unsigned decimal
+/// integers within their fields' ranges.  Throws Error on malformed
+/// specs.
 FaultSchedule parse_fault_spec(std::string_view spec);
-
-/// Loads a schedule from `arg`: an existing file is parsed as JSON,
-/// anything else as a spec string.  Throws Error with context.
-FaultSchedule load_fault_schedule(const std::string& arg);
 
 /// Resolves a targeted event (fail-stop/degrade/recover) to node ids:
 /// the event's level selects a node kind (1 = compute, 2 = I/O,

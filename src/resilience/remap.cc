@@ -38,10 +38,9 @@ RemapDecision decide_remap(const RemapPolicy& policy,
   return decision;
 }
 
-bool drift_exceeded(const RemapPolicy& policy,
-                    const cache::CacheStats& baseline,
+bool drift_exceeded(const cache::CacheStats& baseline,
                     const cache::CacheStats& observed) {
-  return observed.miss_rate() - baseline.miss_rate() > policy.miss_rate_drift;
+  return observed.miss_rate() - baseline.miss_rate() > kMissRateDrift;
 }
 
 topology::HierarchyTree surviving_topology(

@@ -26,11 +26,11 @@ namespace mlsc::resilience {
 struct RemapPolicy {
   /// Re-map as soon as the schedule fail-stops a cache level.
   bool remap_on_failure = true;
-
-  /// Re-map when a shared level's observed miss rate exceeds the healthy
-  /// baseline by this much (absolute).  Checked via drift_exceeded().
-  double miss_rate_drift = 0.15;
 };
+
+/// A shared level's observed miss rate may exceed its healthy baseline
+/// by this much (absolute) before drift_exceeded() fires.
+inline constexpr double kMissRateDrift = 0.15;
 
 /// Downtime charged to every client while a remapped mapping is
 /// installed, injected as a stall event at the trigger time.
@@ -53,9 +53,8 @@ RemapDecision decide_remap(const RemapPolicy& policy,
                            const topology::HierarchyTree& tree);
 
 /// Miss-rate drift trigger: true when `observed`'s miss rate exceeds
-/// `baseline`'s by more than the policy threshold (absolute).
-bool drift_exceeded(const RemapPolicy& policy,
-                    const cache::CacheStats& baseline,
+/// `baseline`'s by more than kMissRateDrift (absolute).
+bool drift_exceeded(const cache::CacheStats& baseline,
                     const cache::CacheStats& observed);
 
 /// A copy of `tree` on which every node the schedule leaves failed

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "core/affinity_forest.h"
+
 namespace mlsc::serve {
 
 const char* remap_scope_name(RemapScope scope) {
@@ -48,24 +50,22 @@ PolicyVerdict decide_scope(const ServePolicy& policy,
 
   std::ostringstream reason;
   const double imbalance = inputs.imbalance_after_patch;
-  if (!inputs.drift_exceeded && imbalance <= policy.patch_imbalance_limit) {
-    reason << "imbalance " << imbalance << " within "
-           << policy.patch_imbalance_limit;
+  if (!inputs.drift_exceeded && imbalance <= kPatchImbalanceLimit) {
+    reason << "imbalance " << imbalance << " within " << kPatchImbalanceLimit;
     return {RemapScope::kPatch, reason.str()};
   }
 
   // Projected stall saving of restoring balance: the load excess over
   // the post-remap target, one virtual nanosecond per iteration.
-  const double excess =
-      imbalance > policy.full_target_imbalance
-          ? imbalance - policy.full_target_imbalance
-          : 0.0;
+  const double excess = imbalance > core::kCutBalanceSlack
+                            ? imbalance - core::kCutBalanceSlack
+                            : 0.0;
   const auto savings = static_cast<Nanoseconds>(
       excess * static_cast<double>(inputs.total_iterations));
 
   const bool hysteresis_open =
       !inputs.any_full_yet ||
-      inputs.now >= inputs.last_full_at + policy.hysteresis_ns;
+      inputs.now >= inputs.last_full_at + kFullHysteresisNs;
   if (savings > scope_pause(RemapScope::kFull) && hysteresis_open) {
     reason << (inputs.drift_exceeded ? "drift + " : "")
            << "projected saving " << savings << "ns beats full pause "
@@ -74,8 +74,7 @@ PolicyVerdict decide_scope(const ServePolicy& policy,
   }
 
   reason << (inputs.drift_exceeded ? "drift, " : "")
-         << "imbalance " << imbalance << " over "
-         << policy.patch_imbalance_limit
+         << "imbalance " << imbalance << " over " << kPatchImbalanceLimit
          << (hysteresis_open ? "" : " (full in hysteresis)");
   return {RemapScope::kPartial, reason.str()};
 }

@@ -10,9 +10,10 @@
 //              (most expensive; the canonical from-scratch mapping).
 // The policy picks the cheapest scope whose projected stall savings
 // beat its estimated pause, with hysteresis so borderline drift cannot
-// thrash full recomputes, reusing resilience::RemapPolicy for the
-// miss-rate-drift threshold and resilience::kRemapPauseNs for the
-// modelled remap pause.
+// thrash full recomputes.  Its thresholds are fixed: kPatchImbalanceLimit,
+// core::kCutBalanceSlack as the imbalance a full recut restores,
+// kFullHysteresisNs, resilience::kMissRateDrift for the drift probe and
+// resilience::kRemapPauseNs for the modelled remap pause.
 #pragma once
 
 #include <string>
@@ -26,27 +27,19 @@ enum class RemapScope { kNone, kPatch, kPartial, kFull };
 
 const char* remap_scope_name(RemapScope scope);
 
+/// Patch is good enough while the post-patch imbalance stays under
+/// this; beyond it the policy weighs a wider remap.
+inline constexpr double kPatchImbalanceLimit = 0.25;
+
+/// A full recompute is not repeated within this window of virtual time
+/// unless forced (drift hysteresis).
+inline constexpr Nanoseconds kFullHysteresisNs = 10 * kMillisecond;
+
 struct ServePolicy {
   /// Force one scope for every decision (testing / oracle runs);
   /// kAuto applies the cost/benefit rules.
   enum class Force { kAuto, kPatch, kPartial, kFull };
   Force force = Force::kAuto;
-
-  /// Patch is good enough while the post-patch imbalance stays under
-  /// this; beyond it the policy weighs a wider remap.
-  double patch_imbalance_limit = 0.25;
-
-  /// Imbalance a full recut is assumed to restore (the balance-aware
-  /// cut's slack); the projected saving is the excess over this.
-  double full_target_imbalance = 0.10;
-
-  /// Shared with the offline remap-on-failure machinery: the miss-rate
-  /// drift threshold and the remap-on-failure switch.
-  resilience::RemapPolicy remap;
-
-  /// A full recompute is not repeated within this window unless forced
-  /// (drift hysteresis).
-  Nanoseconds hysteresis_ns = 10 * kMillisecond;
 };
 
 /// The modelled install pause of a scope: a full remap pauses for
@@ -64,7 +57,7 @@ struct PolicyInputs {
   Nanoseconds now = 0;
   Nanoseconds last_full_at = 0;
   bool any_full_yet = false;
-  /// A drift probe exceeded resilience::RemapPolicy::miss_rate_drift.
+  /// A drift probe exceeded resilience::kMissRateDrift.
   bool drift_exceeded = false;
 };
 
@@ -74,9 +67,11 @@ struct PolicyVerdict {
 };
 
 /// Picks the remap scope.  Forced policies short-circuit; otherwise
-/// patch wins while imbalance stays within patch_imbalance_limit and no
+/// patch wins while imbalance stays within kPatchImbalanceLimit and no
 /// drift fired, and the escalation to full requires projected savings
-/// above the full pause plus the hysteresis window since the last full.
+/// (the imbalance over core::kCutBalanceSlack, one nanosecond per
+/// iteration) above the full pause plus kFullHysteresisNs since the last
+/// full.
 PolicyVerdict decide_scope(const ServePolicy& policy,
                            const PolicyInputs& inputs);
 

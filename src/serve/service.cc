@@ -101,7 +101,7 @@ ServeDecision MappingService::process(const ServeEvent& event) {
       decision.drift = probe_drift();
       const bool clients_died = state_.num_alive_clients() < alive_before;
       if (options_.policy.force == ServePolicy::Force::kAuto &&
-          clients_died && options_.policy.remap.remap_on_failure) {
+          clients_died) {
         // Remap-on-failure: losing a client invalidates the standing
         // cut's balance assumptions — at least a partial remap.
         decision.scope = RemapScope::kPartial;
@@ -187,8 +187,7 @@ bool MappingService::probe_drift() {
                                        state_.tree());
     const sim::EngineResult result = sim::run_engine(
         trace, mapping, options_.machine, state_.tree(), &injector);
-    if (resilience::drift_exceeded(options_.policy.remap, e.baseline_l2,
-                                   result.l2)) {
+    if (resilience::drift_exceeded(e.baseline_l2, result.l2)) {
       MLSC_DEBUG("drift probe fired for " << e.id << ": baseline miss "
                                           << e.baseline_l2.miss_rate()
                                           << " observed "

@@ -34,8 +34,8 @@ struct ServiceOptions {
 
   /// Drift estimation: each register captures a healthy solo-replay
   /// baseline over this many sampled clients, and each fault event
-  /// re-replays live instances under the effective fault state to test
-  /// resilience::RemapPolicy::miss_rate_drift.  0 disables the probes.
+  /// re-replays live instances under the effective fault state against
+  /// resilience::kMissRateDrift.  0 disables the probes.
   std::size_t drift_sample = 0;
 
   std::string journal_path;    // decision journal (JSON lines)

@@ -454,7 +454,7 @@ PatchPlan MappingState::build_patch(std::size_t widx) const {
     MLSC_DCHECK(std::is_sorted(order_keys.begin(), order_keys.end()),
                 "instance chunk ids out of order-key order");
     parent = core::cut_forest({}, parent, iterations, order_keys,
-                              e.requested_clients, options_.cut_balance_slack);
+                              e.requested_clients, core::kCutBalanceSlack);
   }
 
   // Materialize by root (a group's smallest node, so its smallest chunk
@@ -538,7 +538,7 @@ void MappingState::recut_all() {
   }
   std::vector<std::uint32_t> parent =
       core::cut_forest(forest_, alive_chunks, iterations, order_keys, target,
-                       options_.cut_balance_slack);
+                       core::kCutBalanceSlack);
 
   // Materialize ascending by root (== smallest member), members
   // ascending, then place every cluster heaviest-first least-loaded.

@@ -27,11 +27,11 @@
 //
 // The state runs the offline kernels, not copies of them: rows are
 // scored by core::score_rows over a key's posting lists (tag bits as
-// counts of 1), the forest is hooked and cut by core/affinity_forest —
-// the patch's leftover components too, by cut_forest over an empty
-// forest — and every placement and imbalance figure comes from one
-// heaviest-first, least-loaded-alive-client rule and one
-// max-relative-deviation formula.
+// counts of 1), the forest is hooked and cut by core/affinity_forest at
+// the offline cut's own core::kCutBalanceSlack — the patch's leftover
+// components too, by cut_forest over an empty forest — and every
+// placement and imbalance figure comes from one heaviest-first,
+// least-loaded-alive-client rule and one max-relative-deviation formula.
 #pragma once
 
 #include <cstdint>
@@ -58,9 +58,6 @@ inline constexpr std::uint32_t kUnplaced = UINT32_MAX;
 
 struct ServeStateOptions {
   core::TaggingOptions tagging;
-  /// Balance-aware cut slack of the standing cut (see
-  /// core::kCutBalanceSlack; negative disables the cap).
-  double cut_balance_slack = core::kCutBalanceSlack;
 };
 
 /// Mapping-work accounting for one operation: candidate pairs scored

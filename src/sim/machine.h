@@ -56,10 +56,6 @@ struct MachineConfig {
   io::DiskParams disk;
   io::NetworkParams network;
 
-  /// Matching workload size factor (1.0 = paper / 64); carried here so
-  /// experiment headers can report both scales.
-  double workload_size_factor = 1.0;
-
   /// The Table 1 machine.
   static MachineConfig paper_default() { return MachineConfig{}; }
 

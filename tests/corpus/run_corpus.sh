@@ -51,11 +51,7 @@ awk 'BEGIN { for (i = 0; i < 100000; i++) printf "["
 expect_usage_error "mlsc_report deep-nesting-balanced" "$report" "$deep"
 rm -f "$deep"
 
-# Malformed fault-schedule JSON files and spec strings through the CLI.
-for doc in "$corpus"/faults/*.json; do
-  expect_usage_error "mlsc_map --faults=$(basename "$doc")" \
-    "$map" --workload hf --size-factor 0.0625 --faults="$doc"
-done
+# Malformed fault-spec strings through the CLI.
 while IFS= read -r spec; do
   [ -n "$spec" ] || continue
   expect_usage_error "mlsc_map --faults='$spec'" \
@@ -68,6 +64,15 @@ expect_usage_error "mlsc_map --balance -0.1" \
   "$map" --workload hf --size-factor 0.0625 --balance -0.1
 expect_usage_error "mlsc_map --balance nan" \
   "$map" --workload hf --size-factor 0.0625 --balance nan
+# Scheduler weights: negative or non-finite ones are usage errors.
+expect_usage_error "mlsc_map --alpha nan" \
+  "$map" --workload hf --size-factor 0.0625 --scheme sched --alpha nan
+expect_usage_error "mlsc_map --alpha inf" \
+  "$map" --workload hf --size-factor 0.0625 --scheme sched --alpha inf
+expect_usage_error "mlsc_map --alpha -1 --beta 2" \
+  "$map" --workload hf --size-factor 0.0625 --scheme sched --alpha -1 --beta 2
+expect_usage_error "mlsc_map --beta -inf" \
+  "$map" --workload hf --size-factor 0.0625 --scheme sched --beta -inf
 "$map" --workload hf --size-factor 0.0625 --balance 1.5 >/dev/null 2>&1
 rc=$?
 if [ "$rc" -ne 0 ]; then

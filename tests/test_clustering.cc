@@ -511,6 +511,28 @@ TEST(Clustering, ForestBalancedCutAvoidsGiantComponent) {
   EXPECT_LE(clusters[1].iterations, cap);
 }
 
+/// Members of each cluster after `algorithm` reduces `n` chunks to 4
+/// clusters.  Chunk i shares data with its 7 rank neighbours in a block
+/// of 8 and with random others through one of 512 hot positions.
+std::vector<std::vector<std::uint32_t>> reduced_members(
+    std::size_t n, ClusterOptions::Algorithm algorithm) {
+  Rng rng(n);
+  std::vector<IterationChunk> chunks;
+  std::vector<std::uint32_t> all(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const auto hot = static_cast<std::uint32_t>(n + rng.next_below(512));
+    chunks.push_back(make_chunk(0, i * 4ull, (i + 1) * 4ull, {i / 8, hot}));
+    all[i] = i;
+  }
+  auto clusters = make_singletons(all, chunks);
+  ClusterOptions options;
+  options.algorithm = algorithm;
+  cluster_to_count(clusters, 4, chunks, nullptr, options);
+  std::vector<std::vector<std::uint32_t>> members;
+  for (const Cluster& cluster : clusters) members.push_back(cluster.members);
+  return members;
+}
+
 TEST(Clustering, AutoUsesGreedyBelowThresholdForestAbove) {
   // kAuto must route small inputs to the greedy oracle: identical result
   // to an explicit kGreedy run on the worked example.
@@ -528,13 +550,16 @@ TEST(Clustering, AutoUsesGreedyBelowThresholdForestAbove) {
     EXPECT_EQ(auto_clusters[i].members, greedy_clusters[i].members);
   }
 
-  // And a forest_threshold of 0 routes everything to the forest.
-  auto chunks_forest = fig8_chunks();
-  auto forest_clusters = make_singletons(all, chunks_forest);
-  ClusterOptions forced_auto;
-  forced_auto.forest_threshold = 0;
-  cluster_to_count(forest_clusters, 2, chunks_forest, nullptr, forced_auto);
-  ASSERT_EQ(forest_clusters.size(), 2u);
+  // At kForestThreshold inputs kAuto switches to the forest; one below,
+  // it is still the greedy kernel.  The input tells the two apart.
+  using Algorithm = ClusterOptions::Algorithm;
+  for (const std::size_t n : {kForestThreshold - 1, kForestThreshold}) {
+    const auto greedy_members = reduced_members(n, Algorithm::kGreedy);
+    const auto forest_members = reduced_members(n, Algorithm::kForest);
+    ASSERT_NE(greedy_members, forest_members);
+    EXPECT_EQ(reduced_members(n, Algorithm::kAuto),
+              n < kForestThreshold ? greedy_members : forest_members);
+  }
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
-// Tests for the fault-injection and resilience subsystem: schedule
-// parsing (spec grammar and JSON), the retry policy's capped backoff,
-// the injector's deterministic state machine, degraded-mode replay
-// accounting (retry/failover stall components, timeout budget), and
-// remap-on-failure work redistribution.
+// Tests for the fault-injection and resilience subsystem: fault-spec
+// parsing, the retry policy's capped backoff, the injector's
+// deterministic state machine, degraded-mode replay accounting
+// (retry/failover stall components, timeout budget), the miss-rate drift
+// trigger, and remap-on-failure work redistribution.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -15,7 +15,6 @@
 #include "sim/engine.h"
 #include "sim/experiment.h"
 #include "support/check.h"
-#include "support/json.h"
 #include "support/rng.h"
 #include "workloads/registry.h"
 
@@ -79,29 +78,30 @@ TEST(FaultSpec, RejectsMalformedInput) {
   EXPECT_THROW(parse_fault_spec("seed=notanumber"), Error);
 }
 
-TEST(FaultSpec, RandomGenerationIsSeedDeterministic) {
-  const auto a = parse_fault_spec("rand@7:n=6:horizon=50ms");
-  const auto b = parse_fault_spec("rand@7:n=6:horizon=50ms");
-  const auto c = parse_fault_spec("rand@8:n=6:horizon=50ms");
-  ASSERT_EQ(a.events.size(), b.events.size());
-  EXPECT_EQ(a.to_string(), b.to_string());
-  EXPECT_NE(a.to_string(), c.to_string());
-}
-
-TEST(FaultSchedule, ParsesJsonDocument) {
-  const auto doc = parse_json(R"({"seed": 42, "events": [
-      {"at_ms": 5, "kind": "fail-stop", "level": 2, "node": 0},
-      {"at_ms": 0, "kind": "transient", "disk_error_rate": 0.01},
-      {"at_ms": 10, "kind": "stall", "duration_ms": 2}]})");
-  const auto schedule = parse_fault_schedule_json(doc);
-  EXPECT_EQ(schedule.seed, 42u);
-  ASSERT_EQ(schedule.events.size(), 3u);
-  EXPECT_EQ(schedule.events[0].kind, FaultKind::kTransient);
-  EXPECT_EQ(schedule.events[1].kind, FaultKind::kFailStop);
-  EXPECT_EQ(schedule.events[2].duration, 2 * kMillisecond);
-  EXPECT_THROW(parse_fault_schedule_json(parse_json(
-                   R"({"events": [{"at_ms": 1, "kind": "melt"}]})")),
-               Error);
+TEST(FaultSpec, TargetsAndSeedsAreExactIntegers) {
+  // None of these may wrap, truncate or saturate into another level, node
+  // or seed.
+  for (const char* spec :
+       {"fail@0:l4294967298.0", "fail@0:l2.1.5", "fail@0:l2.1e0",
+        "fail@0:l2.+1", "fail@0:l2.", "fail@0:l2.0x1", "fail@0:l+2.0",
+        "seed=-5", "seed=1e30", "seed=+5", "seed=7.0",
+        "seed=", "seed=18446744073709551616", "fail:l2.0"}) {
+    EXPECT_THROW(parse_fault_spec(spec), Error) << spec;
+  }
+  try {
+    parse_fault_spec("fail@0:l2.1000000000000");
+    ADD_FAILURE() << "an out-of-range node index parsed";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos)
+        << e.what();
+  }
+  // The extremes of each field still parse.
+  EXPECT_EQ(parse_fault_spec("seed=18446744073709551615").seed, UINT64_MAX);
+  const auto schedule = parse_fault_spec("fail@0:l3.2147483647; seed=0");
+  ASSERT_EQ(schedule.events.size(), 1u);
+  EXPECT_EQ(schedule.events[0].level, 3u);
+  EXPECT_EQ(schedule.events[0].node_index, INT32_MAX);
+  EXPECT_EQ(schedule.seed, 0u);
 }
 
 FaultEvent node_of(std::uint32_t level, std::int32_t index) {
@@ -249,6 +249,22 @@ TEST(DegradedReplay, FailStopLosesCacheContents) {
   EXPECT_GT(failed.engine.failovers, 0u);
   EXPECT_GT(failed.engine.time_failover, 0u);
   EXPECT_GE(failed.engine.disk_requests, healthy.engine.disk_requests);
+}
+
+TEST(Remap, DriftFiresOnlyAboveTheThreshold) {
+  cache::CacheStats baseline;
+  baseline.accesses = 100;
+  cache::CacheStats observed = baseline;
+  // A rise of exactly kMissRateDrift (15 of 100 accesses from none) does
+  // not fire; one more miss does.
+  observed.misses = 15;
+  ASSERT_EQ(observed.miss_rate() - baseline.miss_rate(), kMissRateDrift);
+  EXPECT_FALSE(drift_exceeded(baseline, observed));
+  observed.misses = 16;
+  EXPECT_TRUE(drift_exceeded(baseline, observed));
+  // A falling miss rate never fires.
+  baseline.misses = 90;
+  EXPECT_FALSE(drift_exceeded(baseline, observed));
 }
 
 TEST(Remap, DecisionTriggersOnFailStopOnly) {

@@ -217,7 +217,7 @@ TEST(ServePolicy, ForcedScopesShortCircuit) {
 }
 
 TEST(ServePolicy, PatchWhileBalancedEscalatesWhenNot) {
-  ServePolicy policy;  // patch limit 0.25, full target 0.10
+  ServePolicy policy;  // kPatchImbalanceLimit 0.25, kCutBalanceSlack 0.10
   PolicyInputs inputs;
   inputs.total_iterations = 1000;
   inputs.now = 100 * kMillisecond;
@@ -890,6 +890,31 @@ TEST(MappingService, PausesAndCountersAccumulate) {
   EXPECT_TRUE(saw_clients);
   EXPECT_TRUE(saw_decisions);
   EXPECT_TRUE(saw_totals);
+}
+
+TEST(MappingService, DriftProbeFiresWhenAnIoNodeFails) {
+  // With 64 KiB client caches the shared L2 serves most of sar's reuse,
+  // so losing an I/O node lifts its miss rate past
+  // resilience::kMissRateDrift.  (At the default cache sizes the healthy
+  // L2 miss rate is near 1 and the probe cannot fire.)
+  for (const std::size_t sample : {std::size_t{0}, std::size_t{8}}) {
+    ServiceOptions options = tiny_options();
+    options.machine.client_cache_bytes = 64 * kKiB;
+    options.drift_sample = sample;
+    MappingService service(options);
+    service.process(make_register(0, "s", "sar", 1.0 / 16.0, 4));
+    const WorkloadEntry& entry = service.state().entries()[0];
+    ASSERT_EQ(entry.has_baseline, sample > 0);
+    if (sample > 0) {
+      EXPECT_LT(entry.baseline_l2.miss_rate(),
+                1.0 - resilience::kMissRateDrift);
+    }
+    const ServeDecision decision =
+        service.process(make_fault(5 * kMillisecond, "fail@5ms:l2.0"));
+    EXPECT_EQ(decision.drift, sample > 0) << "drift_sample " << sample;
+    EXPECT_EQ(decision.reason.rfind("drift", 0) == 0, sample > 0)
+        << decision.reason;
+  }
 }
 
 TEST(MappingService, UnknownDepartIdThrows) {

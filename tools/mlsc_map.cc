@@ -16,7 +16,7 @@
 //            [--balance FRACTION] [--alpha A] [--beta B]
 //            [--write-back] [--cooperative] [--readahead N]
 //            [--size-factor F] [--threads N] [--cache-mib M]
-//            [--faults FILE|SPEC] [--remap] [--explain]
+//            [--faults SPEC] [--remap] [--explain]
 //            [--trace PATH] [--metrics PATH] [--json PATH]
 //            [--log-level debug|info|warn|error|off]
 //            [--report stats|full|bound|compare|mapping|codegen|csv]
@@ -78,11 +78,10 @@ void print_usage(std::ostream& out, const char* argv0) {
       << "                      (default 1, result is identical for any "
          "value)\n"
       << "  --cluster KIND      auto | greedy | forest: clustering kernel "
-         "(default auto)\n"
-      << "  --forest-threshold N  auto switches to the forest kernel at N "
-         "input clusters (default 8192)\n"
-      << "  --faults ARG        fault schedule: a JSON file or a spec "
-         "string, e.g.\n"
+         "(default auto:\n"
+      << "                      the forest from "
+      << core::kForestThreshold << " input clusters up)\n"
+      << "  --faults SPEC       fault schedule spec string, e.g.\n"
       << "                      'fail@5ms:l2.0;transient@0:disk=0.01;"
          "seed=42'\n"
       << "  --remap             remap-on-failure: recompute the mapping "
@@ -92,6 +91,18 @@ void print_usage(std::ostream& out, const char* argv0) {
       << CommonToolOptions::usage(/*with_reps=*/false, /*with_explain=*/true)
       << "  --report KIND       stats|full|bound|compare|mapping|codegen|csv "
          "(default stats)\n";
+}
+
+/// The current flag's value as a finite, nonnegative number (the BThres
+/// fraction and the scheduler weights).
+double nonnegative_value(const ArgParser& args, const char* flag) {
+  const double value = args.value_double();
+  if (!std::isfinite(value) || value < 0.0) {
+    throw UsageError(std::string(flag) +
+                     ": expected a finite nonnegative number, got '" +
+                     args.value() + "'");
+  }
+  return value;
 }
 
 std::string gib(std::uint64_t bytes) {
@@ -151,16 +162,11 @@ int main(int argc, char** argv) {
           throw UsageError("--placement: unknown mode '" + mode + "'");
         }
       } else if (args.value_flag("--balance")) {
-        scheme.balance_threshold = args.value_double();
-        if (!std::isfinite(scheme.balance_threshold) ||
-            scheme.balance_threshold < 0.0) {
-          throw UsageError("--balance: expected a nonnegative fraction, got '" +
-                           args.value() + "'");
-        }
+        scheme.balance_threshold = nonnegative_value(args, "--balance");
       } else if (args.value_flag("--alpha")) {
-        alpha = args.value_double();
+        alpha = nonnegative_value(args, "--alpha");
       } else if (args.value_flag("--beta")) {
-        beta = args.value_double();
+        beta = nonnegative_value(args, "--beta");
       } else if (args.flag("--write-back")) {
         machine.write_back = true;
       } else if (args.flag("--cooperative")) {
@@ -191,8 +197,6 @@ int main(int argc, char** argv) {
         } else {
           throw UsageError("--cluster: unknown kernel '" + kind + "'");
         }
-      } else if (args.value_flag("--forest-threshold")) {
-        scheme.clustering.forest_threshold = args.value_u64();
       } else if (args.value_flag("--faults")) {
         faults_arg = args.value();
       } else if (args.flag("--remap")) {
@@ -225,7 +229,7 @@ int main(int argc, char** argv) {
     }
 
     if (!faults_arg.empty()) {
-      rspec.schedule = resilience::load_fault_schedule(faults_arg);
+      rspec.schedule = resilience::parse_fault_spec(faults_arg);
       rspec.remap.remap_on_failure = remap;
       have_faults = true;
     } else if (remap) {

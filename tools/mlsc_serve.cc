@@ -14,8 +14,7 @@
 //              [--clients N] [--io N] [--storage N] [--chunk BYTES]
 //              [--threads N] [--seed S]
 //              [--policy auto|patch|partial|full]
-//              [--patch-imbalance F] [--balance F] [--drift F]
-//              [--hysteresis-ms MS] [--drift-sample K] [--max-chunks N]
+//              [--drift-sample K] [--max-chunks N]
 //              [--journal PATH] [--snapshot PATH] [--snapshot-every N]
 //              [--prom PATH] [--check] [--print-state]
 //              [--trace PATH] [--metrics PATH] [--json PATH]
@@ -54,12 +53,6 @@ void print_usage(std::ostream& out, const char* argv0) {
       << "  --seed S            journal seed stamp (default 0)\n"
       << "  --policy KIND       auto | patch | partial | full (default "
          "auto)\n"
-      << "  --patch-imbalance F patch acceptable while imbalance <= F "
-         "(default 0.25)\n"
-      << "  --balance F         cut balance slack (default 0.10)\n"
-      << "  --drift F           miss-rate drift threshold (default 0.15)\n"
-      << "  --hysteresis-ms MS  min virtual time between full recomputes "
-         "(default 10)\n"
       << "  --drift-sample K    drift probes replay K sampled clients "
          "(default 0 = off)\n"
       << "  --max-chunks N      iteration-chunk cap per instance (default "
@@ -119,15 +112,6 @@ int main(int argc, char** argv) {
         } else {
           throw UsageError("--policy: unknown policy '" + kind + "'");
         }
-      } else if (args.value_flag("--patch-imbalance")) {
-        options.policy.patch_imbalance_limit = args.value_double();
-      } else if (args.value_flag("--balance")) {
-        options.state.cut_balance_slack = args.value_double();
-        options.policy.full_target_imbalance = options.state.cut_balance_slack;
-      } else if (args.value_flag("--drift")) {
-        options.policy.remap.miss_rate_drift = args.value_double();
-      } else if (args.value_flag("--hysteresis-ms")) {
-        options.policy.hysteresis_ns = args.value_u64() * kMillisecond;
       } else if (args.value_flag("--drift-sample")) {
         options.drift_sample = args.value_u64();
       } else if (args.value_flag("--max-chunks")) {
