@@ -24,10 +24,10 @@
 // --json=<path>).  Extra flags:
 //   --standing=N    largest standing-chunk sweep point (default 65536)
 //   --max-chunks=N  iteration-chunk cap per instance (default 4096)
-//   --threads=N     mapping threads, 0 = all cores (default 0)
+//   --threads=N     mapping threads, 0 = all cores (default 0, at most 1024)
+// Any other argument but the shared bench flags is a usage error (exit 3).
 #include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -50,17 +50,6 @@ double elapsed_ms(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start)
       .count();
-}
-
-std::size_t parse_size_flag(const std::string& arg, const char* name) {
-  const std::string value = arg.substr(std::strlen(name));
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-  if (value.empty() || end != value.c_str() + value.size()) {
-    std::cerr << "error: " << name << " needs a number\n";
-    std::exit(3);
-  }
-  return static_cast<std::size_t>(parsed);
 }
 
 const char* kNames[] = {"astro", "hf", "sar"};
@@ -124,35 +113,24 @@ std::vector<serve::ServeEvent> decision_script() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<char*> args(argv, argv + argc);
-  static char default_json[] = "--json=BENCH_churn.json";
-  bool has_json = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) has_json = true;
-  }
-  if (!has_json) args.push_back(default_json);
-  bench::parse_common_flags(static_cast<int>(args.size()), args.data());
-  bench::set_record_seed(2026);
-  bench::set_record_apps({"astro", "hf", "sar"});
-
   std::size_t standing_max = 65536;
   std::size_t max_chunks = 4096;
   std::size_t threads = 0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--standing=", 0) == 0) {
-      standing_max = parse_size_flag(arg, "--standing=");
-    } else if (arg.rfind("--max-chunks=", 0) == 0) {
-      max_chunks = parse_size_flag(arg, "--max-chunks=");
-      if (max_chunks == 0 || max_chunks > UINT32_MAX) {
-        std::cerr << "error: --max-chunks= needs a value in 1.."
-                  << UINT32_MAX << "\n";
-        std::exit(3);
-      }
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      threads = parse_size_flag(arg, "--threads=");
-    }
-  }
+  bench::parse_common_flags(
+      argc, argv, "BENCH_churn.json", [&](ArgParser& flags) {
+        if (flags.value_flag("--standing")) {
+          standing_max = flags.value_u64();
+        } else if (flags.value_flag("--max-chunks")) {
+          max_chunks = flags.value_u64_in(1, UINT32_MAX);
+        } else if (flags.value_flag("--threads")) {
+          threads = flags.value_threads();
+        } else {
+          return false;
+        }
+        return true;
+      });
+  bench::set_record_seed(2026);
+  bench::set_record_apps({"astro", "hf", "sar"});
 
   const auto machine = sim::MachineConfig::paper_default();
   bench::print_header("online churn: delta vs full mapping work", machine);

@@ -5,8 +5,9 @@
 //   healthy    no faults injected
 //   no-remap   degraded replay of the healthy mapping (failover +
 //              retries only)
-//   remap      remap-on-failure: the mapping is recomputed over the
-//              surviving topology and the run is charged the remap pause
+//   remap      remap-on-failure: the healthy mapping's work is moved off
+//              the clients behind the failed node (resilience::
+//              remap_mapping) and the run is charged the remap pause
 //
 // The headline column is recovery%: how much of the throughput the
 // fail-stop costs the no-remap run is won back by remapping,
@@ -16,9 +17,11 @@
 //
 // Output: the standard table on stdout plus a machine-readable JSON run
 // record, BENCH_degraded.json by default (override with --json=<path>).
-// --size-factor=F scales the data volume for quick smoke runs.
+// --size-factor=F (a positive number) scales the data volume for quick
+// smoke runs; any other argument but the shared bench flags is a usage
+// error (exit 3).
 #include <chrono>
-#include <cstring>
+#include <cmath>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -71,20 +74,17 @@ sim::ExperimentResult run_variant(const workloads::Workload& workload,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // BENCH_degraded.json is the default output; an explicit --json= wins.
-  std::vector<char*> args(argv, argv + argc);
-  static char default_json[] = "--json=BENCH_degraded.json";
-  bool has_json = false;
   double size_factor = 1.0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) has_json = true;
-    if (std::strncmp(argv[i], "--size-factor=", 14) == 0) {
-      size_factor = std::atof(argv[i] + 14);
-      MLSC_CHECK(size_factor > 0.0, "--size-factor must be positive");
-    }
-  }
-  if (!has_json) args.push_back(default_json);
-  bench::parse_common_flags(static_cast<int>(args.size()), args.data());
+  bench::parse_common_flags(
+      argc, argv, "BENCH_degraded.json", [&](ArgParser& flags) {
+        if (!flags.value_flag("--size-factor")) return false;
+        size_factor = flags.value_double();
+        if (!(size_factor > 0.0) || !std::isfinite(size_factor)) {
+          throw UsageError("--size-factor: expected a positive number, got '" +
+                           flags.value() + "'");
+        }
+        return true;
+      });
   bench::set_record_seed(kSeed);
 
   sim::MachineConfig config;
@@ -124,7 +124,7 @@ int main(int argc, char** argv) {
       sim::ResilienceSpec no_remap;
       no_remap.schedule = resilience::parse_fault_spec(spec);
       no_remap.retry = retry;
-      no_remap.remap.remap_on_failure = false;
+      no_remap.remap_on_failure = false;
       const auto degraded = run_variant(
           workload, scheme, config, &no_remap,
           "no-remap@disk=" + format_double(rate, 2));
@@ -133,7 +133,7 @@ int main(int argc, char** argv) {
       sim::ResilienceSpec with_remap;
       with_remap.schedule = resilience::parse_fault_spec(spec);
       with_remap.retry = retry;
-      with_remap.remap.remap_on_failure = true;
+      with_remap.remap_on_failure = true;
       const auto remapped = run_variant(
           workload, scheme, config, &with_remap,
           "remap@disk=" + format_double(rate, 2));

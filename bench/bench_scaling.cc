@@ -10,7 +10,6 @@
 // BENCH_scaling.json by default (override with --json=<path>).
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <iostream>
 #include <limits>
 #include <string>
@@ -91,15 +90,7 @@ double elapsed_ms(std::chrono::steady_clock::time_point start) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // BENCH_scaling.json is the default output; an explicit --json= wins.
-  std::vector<char*> args(argv, argv + argc);
-  static char default_json[] = "--json=BENCH_scaling.json";
-  bool has_json = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) has_json = true;
-  }
-  if (!has_json) args.push_back(default_json);
-  bench::parse_common_flags(static_cast<int>(args.size()), args.data());
+  bench::parse_common_flags(argc, argv, "BENCH_scaling.json");
   bench::set_record_seed(2010);
   bench::set_record_apps({"synthetic-windowed"});
   const std::size_t reps = bench::repetitions();

@@ -19,12 +19,12 @@
 // --json=<path>).  Extra flags:
 //   --max-chunks=N  largest sweep size (default 262144, up to 1048576)
 //   --exact-cap=N   run the exact oracle up to N chunks (default 8192)
-//   --threads=N     mapping threads, 0 = all cores (default 0)
+//   --threads=N     mapping threads, 0 = all cores (default 0, at most 1024)
 //   --target=N      clusters per clustering timing run (default 16)
+// Any other argument but the shared bench flags is a usage error (exit 3).
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <iostream>
 #include <limits>
 #include <string>
@@ -82,49 +82,31 @@ double elapsed_ms(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-std::size_t parse_size_flag(const std::string& arg, const char* name) {
-  const std::string value = arg.substr(std::strlen(name));
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-  if (value.empty() || end != value.c_str() + value.size()) {
-    std::cerr << "error: " << name << " needs a number\n";
-    std::exit(2);
-  }
-  return static_cast<std::size_t>(parsed);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<char*> args(argv, argv + argc);
-  static char default_json[] = "--json=BENCH_similarity.json";
-  bool has_json = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) has_json = true;
-  }
-  if (!has_json) args.push_back(default_json);
-  bench::parse_common_flags(static_cast<int>(args.size()), args.data());
-  bench::set_record_seed(2010);
-  bench::set_record_apps({"synthetic-windowed", "sar", "astro"});
-  const std::size_t reps = bench::repetitions();
-
   std::size_t max_chunks = 262144;
   std::size_t exact_cap = 8192;
   std::size_t threads = 0;
   std::size_t target = 16;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--max-chunks=", 0) == 0) {
-      max_chunks = parse_size_flag(arg, "--max-chunks=");
-    } else if (arg.rfind("--exact-cap=", 0) == 0) {
-      exact_cap = parse_size_flag(arg, "--exact-cap=");
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      threads = parse_size_flag(arg, "--threads=");
-    } else if (arg.rfind("--target=", 0) == 0) {
-      target = parse_size_flag(arg, "--target=");
-    }
-  }
-  MLSC_CHECK(max_chunks <= (1u << 20), "--max-chunks tops out at 1048576");
+  bench::parse_common_flags(
+      argc, argv, "BENCH_similarity.json", [&](ArgParser& flags) {
+        if (flags.value_flag("--max-chunks")) {
+          max_chunks = flags.value_u64_in(0, std::size_t{1} << 20);
+        } else if (flags.value_flag("--exact-cap")) {
+          exact_cap = flags.value_u64();
+        } else if (flags.value_flag("--threads")) {
+          threads = flags.value_threads();
+        } else if (flags.value_flag("--target")) {
+          target = flags.value_u64_in(1, UINT32_MAX);
+        } else {
+          return false;
+        }
+        return true;
+      });
+  bench::set_record_seed(2010);
+  bench::set_record_apps({"synthetic-windowed", "sar", "astro"});
+  const std::size_t reps = bench::repetitions();
 
   std::vector<std::size_t> chunk_counts;
   for (const std::size_t n :

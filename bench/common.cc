@@ -69,7 +69,8 @@ void flush_observability() {
 
 }  // namespace
 
-void parse_common_flags(int argc, char** argv) {
+void parse_common_flags(int argc, char** argv, const char* default_json,
+                        const std::function<bool(ArgParser&)>& own) {
   JsonState& state = json_state();
   if (argc > 0) {
     state.record.binary = argv[0];
@@ -91,15 +92,15 @@ void parse_common_flags(int argc, char** argv) {
                            " " + uts.machine;
   }
   // Shared flag mechanics (support/argparse): --flag=value and
-  // "--flag value" both work; anything not a shared flag is left alone
-  // for the binary (bench binaries take no other arguments).
+  // "--flag value" both work.
   CommonToolOptions common;
   common.accept_reps = true;
   common.accept_explain = true;
   try {
     ArgParser args(argc, argv);
     while (args.next()) {
-      if (!common.match(args)) continue;
+      if (common.match(args) || !own) continue;
+      if (!own(args)) args.unknown();
     }
   } catch (const UsageError& e) {
     std::cerr << "error: " << e.what() << "\n"
@@ -108,7 +109,9 @@ void parse_common_flags(int argc, char** argv) {
     std::exit(kUsageExitCode);
   }
   state.explain = common.explain;
-  state.path = common.json_path;
+  state.path = common.json_path.empty() && default_json != nullptr
+                   ? default_json
+                   : common.json_path;
   state.metrics_path = common.metrics_path;
   state.repetitions = common.repetitions;
   const std::string trace_path = common.trace_path;

@@ -25,11 +25,13 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "sim/experiment.h"
+#include "support/argparse.h"
 #include "support/string_util.h"
 #include "support/table.h"
 #include "workloads/registry.h"
@@ -45,11 +47,18 @@ std::vector<std::string> bench_apps(
 bool csv_requested();
 
 /// Parses the flags shared by every bench binary (--json=<path>,
-/// --trace=<path>, --metrics=<path>).  Unknown arguments are left alone
-/// for the binary to interpret.  When --json is given, every table passed
-/// to print_table is collected and the whole set is written to <path> on
+/// --trace=<path>, --metrics=<path>); `default_json`, when given, is
+/// the --json path used when the command line names none.  Without
+/// `own`, other arguments are left alone.  With it, each other argument goes to `own`, which
+/// consumes it through the parser (value_flag, value_u64_in, ...) and
+/// returns true, or returns false for an argument it does not know.
+/// Misuse prints the error and the shared usage and exits
+/// kUsageExitCode.  When --json is given, every table passed to
+/// print_table is collected and the whole set is written to <path> on
 /// exit (or via write_json_output); --trace/--metrics flush on exit too.
-void parse_common_flags(int argc, char** argv);
+void parse_common_flags(int argc, char** argv,
+                        const char* default_json = nullptr,
+                        const std::function<bool(ArgParser&)>& own = {});
 
 /// Path given via --json=<path>, or "" when JSON output was not requested.
 const std::string& json_output_path();

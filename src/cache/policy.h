@@ -25,7 +25,8 @@ enum class PolicyKind { kLru, kFifo, kClock, kLfu, kTwoQ, kMq, kArc };
 
 const char* policy_kind_name(PolicyKind kind);
 
-/// Parses "lru", "fifo", "clock", "lfu", "2q", "mq"; throws on others.
+/// Parses "lru", "fifo", "clock", "lfu", "2q", "mq", "arc"; throws on
+/// others.
 PolicyKind parse_policy_kind(const std::string& name);
 
 class PolicyCore {

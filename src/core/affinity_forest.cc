@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <numeric>
 #include <utility>
 
@@ -125,6 +126,36 @@ std::size_t hook_forest(std::vector<ForestEdge> edges,
   }
 }
 
+void merge_rank_adjacent(
+    std::vector<RankedComponent> comps, std::size_t target,
+    const std::function<void(std::uint32_t, std::uint32_t)>& on_merge) {
+  MLSC_CHECK(target >= 1, "merge target must be at least 1");
+  std::sort(comps.begin(), comps.end(),
+            [](const RankedComponent& x, const RankedComponent& y) {
+              if (x.order_key != y.order_key) return x.order_key < y.order_key;
+              return x.id < y.id;
+            });
+  while (comps.size() > target) {
+    std::size_t pos = 0;
+    std::uint64_t best_size = UINT64_MAX;
+    for (std::size_t p = 0; p + 1 < comps.size(); ++p) {
+      const std::uint64_t combined =
+          comps[p].iterations + comps[p + 1].iterations;
+      if (combined < best_size) {
+        best_size = combined;
+        pos = p;
+      }
+    }
+    RankedComponent& left = comps[pos];
+    const RankedComponent& right = comps[pos + 1];
+    const std::uint32_t kept = std::min(left.id, right.id);
+    on_merge(kept, std::max(left.id, right.id));
+    left.id = kept;
+    left.iterations = best_size;
+    comps.erase(comps.begin() + pos + 1);
+  }
+}
+
 std::vector<std::uint32_t> cut_forest(std::vector<ForestEdge> forest,
                                       std::span<const std::uint32_t> nodes,
                                       std::span<const std::uint64_t> iterations,
@@ -172,49 +203,27 @@ std::vector<std::uint32_t> cut_forest(std::vector<ForestEdge> forest,
   }
   if (cap_skipped != nullptr) *cap_skipped = skipped;
 
-  // Leftovers — components the cap stopped or that share no data: merge
-  // rank-adjacent (by order key), smallest combined size first, the same
-  // fallback the greedy kernel uses.  Smallest-first evens the sizes, so
-  // the load balancer has little left to fix.
+  // Leftovers — components the cap stopped or that share no data — go
+  // to the zero-sharing rule.
   if (components > target) {
-    struct Comp {
-      std::uint32_t root;
-      std::uint64_t order_key;
-      std::uint64_t iterations;
-    };
-    std::vector<Comp> comps;
+    std::vector<RankedComponent> comps;
     comps.reserve(components);
     std::vector<std::uint32_t> slot(n);
     for (std::size_t i = 0; i < nodes.size(); ++i) {
       const std::uint32_t root = uf_find(parent, nodes[i]);
       if (root == nodes[i]) {  // the smallest member: first in `nodes`
         slot[root] = static_cast<std::uint32_t>(comps.size());
-        comps.push_back(Comp{root, order_keys[i], comp_iterations[root]});
+        comps.push_back(
+            RankedComponent{root, order_keys[i], comp_iterations[root]});
       } else {
-        Comp& c = comps[slot[root]];
+        RankedComponent& c = comps[slot[root]];
         c.order_key = std::min(c.order_key, order_keys[i]);
       }
     }
-    std::sort(comps.begin(), comps.end(), [](const Comp& x, const Comp& y) {
-      if (x.order_key != y.order_key) return x.order_key < y.order_key;
-      return x.root < y.root;
-    });
-    while (comps.size() > target) {
-      std::size_t pos = 0;
-      std::uint64_t best_size = UINT64_MAX;
-      for (std::size_t p = 0; p + 1 < comps.size(); ++p) {
-        const std::uint64_t combined =
-            comps[p].iterations + comps[p + 1].iterations;
-        if (combined < best_size) {
-          best_size = combined;
-          pos = p;
-        }
-      }
-      uf_union(parent, comps[pos].root, comps[pos + 1].root);
-      comps[pos].root = std::min(comps[pos].root, comps[pos + 1].root);
-      comps[pos].iterations += comps[pos + 1].iterations;
-      comps.erase(comps.begin() + pos + 1);
-    }
+    merge_rank_adjacent(std::move(comps), target,
+                        [&](std::uint32_t kept, std::uint32_t absorbed) {
+                          uf_union(parent, kept, absorbed);
+                        });
   }
   return parent;
 }

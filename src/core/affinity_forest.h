@@ -5,10 +5,13 @@
 // an arrival's leftover components with cut_forest over an empty
 // forest.  Both score their candidate edges with the one row kernel,
 // core::score_rows (core/pair_scorer.h) — average-linkage dots offline,
-// raw shared-bit counts in the service — and hand the edges here.
+// raw shared-bit counts in the service — and hand the edges here.  The
+// zero-sharing merge rule (merge_rank_adjacent) lives here too: the cut
+// ends with it, and the greedy kernel's dry tail is it.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -56,16 +59,39 @@ std::size_t hook_forest(std::vector<ForestEdge> edges,
                         std::vector<ForestEdge>& forest,
                         ThreadPool* pool = nullptr);
 
+/// One component under the zero-sharing merge rule.
+struct RankedComponent {
+  std::uint32_t id = 0;
+  std::uint64_t order_key = 0;
+  std::uint64_t iterations = 0;
+};
+
+/// The zero-sharing merge rule, used where no remaining pair shares data
+/// (the greedy kernel's dry tail) or may not merge by it (cut_forest's
+/// leftovers): ranks `comps` by (order key, id), then, until `target`
+/// remain, merges the rank-adjacent pair with the smallest combined
+/// iteration total, the leftmost on ties.  The merged component keeps
+/// the pair's rank slot, its smaller id and its smaller order key.
+/// `on_merge(kept, absorbed)` runs once per merge, in merge order, with
+/// kept < absorbed.  With zero sharing, cache behaviour is indifferent
+/// to the grouping but disk behaviour is not: rank adjacency keeps the
+/// mapping close to sequential order, and smallest-first evens the
+/// sizes, so the load balancer has little left to fix.
+void merge_rank_adjacent(
+    std::vector<RankedComponent> comps, std::size_t target,
+    const std::function<void(std::uint32_t kept, std::uint32_t absorbed)>&
+        on_merge);
+
 /// Cuts an acyclic `forest` over `nodes` (ascending ids) to `target`
 /// components: forest edges are replayed best-first, skipping any merge
 /// past the (1 + slack) balance cap (negative slack disables the cap);
-/// components still over target merge rank-adjacent by order key (ties
-/// to the smaller root), smallest combined iteration total first (ties
-/// to the leftmost pair) — with an empty forest, only this leftover
-/// rule runs.  `iterations[i]` and `order_keys[i]` describe `nodes[i]`.
-/// Returns the union-find over ids [0, nodes.back()] — roots are
-/// smallest members — for the caller to materialize; `cap_skipped`, when
-/// given, receives the merges the cap refused.
+/// components still over target go to merge_rank_adjacent (id: the
+/// root; order key: the smallest over its members) — with an empty
+/// forest, only this leftover rule runs.  `iterations[i]` and `order_keys[i]`
+/// describe `nodes[i]`.  Returns the union-find over ids
+/// [0, nodes.back()] — roots are smallest members — for the caller to
+/// materialize; `cap_skipped`, when given, receives the merges the cap
+/// refused.
 std::vector<std::uint32_t> cut_forest(std::vector<ForestEdge> forest,
                                       std::span<const std::uint32_t> nodes,
                                       std::span<const std::uint64_t> iterations,

@@ -292,99 +292,66 @@ MergeStats merge_to_count(std::vector<Cluster>& clusters, std::size_t target,
     tree.update(x);
   };
 
-  // Zero-sharing fallback order, built the first time no alive pair
-  // shares data.  Since dots are bilinear, merging zero-dot clusters
-  // keeps every dot zero, so the greedy stays dry from then on and the
-  // fallback list can be maintained incrementally instead of re-sorted
-  // per merge: it stays sorted by order_key because the merged cluster
-  // keeps the smaller key of the adjacent pair.
-  std::vector<std::uint32_t> fallback_ids;
-  bool dry = false;
-
   std::size_t alive_count = n;
   while (alive_count > target) {
-    PairKey pick;
-    while (!dry) {
-      const std::uint32_t x = tree.top();
-      const BestPartner& record = best[x];
-      if (record.key.score < 0) {
-        dry = true;
-        break;
-      }
-      const std::uint32_t partner =
-          record.key.lo == x ? record.key.hi : record.key.lo;
-      if (alive(partner) && version[partner] == record.partner_version) {
-        pick = record.key;
-        break;
-      }
+    const std::uint32_t x = tree.top();
+    const PairKey pick = best[x].key;
+    if (pick.score < 0) break;  // no alive pair shares data
+    const std::uint32_t partner = pick.lo == x ? pick.hi : pick.lo;
+    if (!alive(partner) || version[partner] != best[x].partner_version) {
       ++stats.rescans;
       gather(x, x);
       settle(x, false);
-    }
-    std::size_t fallback_pos = 0;
-    if (dry) {
-      // All remaining pairs share no data.  With zero sharing, cache
-      // behaviour is indifferent to the grouping, but disk behaviour is
-      // not: merge the rank-adjacent pair with the smallest combined
-      // size, which keeps the mapping close to the sequential order
-      // (sequential on disk) and balanced.
-      if (fallback_ids.empty()) {
-        for (std::uint32_t i = 0; i < n; ++i) {
-          if (alive(i)) fallback_ids.push_back(i);
-        }
-        std::sort(fallback_ids.begin(), fallback_ids.end(),
-                  [&](std::uint32_t x, std::uint32_t y) {
-                    return clusters[x].order_key < clusters[y].order_key;
-                  });
-      }
-      MLSC_CHECK(fallback_ids.size() >= 2, "fewer than two clusters alive");
-      std::uint64_t best_size = UINT64_MAX;
-      for (std::size_t p = 0; p + 1 < fallback_ids.size(); ++p) {
-        const std::uint64_t combined =
-            clusters[fallback_ids[p]].iterations +
-            clusters[fallback_ids[p + 1]].iterations;
-        if (combined < best_size) {
-          best_size = combined;
-          fallback_pos = p;
-        }
-      }
-      pick.lo = std::min(fallback_ids[fallback_pos],
-                         fallback_ids[fallback_pos + 1]);
-      pick.hi = std::max(fallback_ids[fallback_pos],
-                         fallback_ids[fallback_pos + 1]);
-      ++stats.fallback_merges;
+      continue;
     }
 
     const std::uint32_t a = pick.lo;
     const std::uint32_t b = pick.hi;
-    MLSC_DEBUG("cluster merge: "
-               << b << " -> " << a
-               << (dry ? " (zero-sharing fallback" : " (shared-data score ")
-               << (dry ? std::string() : std::to_string(pick.score))
-               << "), " << clusters[a].members.size() << "+"
-               << clusters[b].members.size() << " members, "
-               << alive_count - 1 << " clusters left");
+    MLSC_DEBUG("cluster merge: " << b << " -> " << a
+                                 << " (shared-data score " << pick.score
+                                 << "), " << clusters[a].members.size()
+                                 << "+" << clusters[b].members.size()
+                                 << " members, " << alive_count - 1
+                                 << " clusters left");
     clusters[a].absorb(std::move(clusters[b]));
     into[b] = a;
     ++version[a];  // invalidates the records that point at a
     --alive_count;
     best[b] = BestPartner{};
     tree.update(b);
-
     if (alive_count <= target) break;
-    if (dry) {
-      // The merged cluster takes the pair's slot (its order_key is the
-      // pair's minimum, i.e. the key already at fallback_pos).
-      fallback_ids[fallback_pos] = a;
-      fallback_ids.erase(fallback_ids.begin() + fallback_pos + 1);
-      continue;
-    }
     // a's new row sums both rows; b's entries in row(a), and a's in
     // row(b), now resolve to a and drop out.
     gather(a, a);
     gather(a, b);
     own[b] = {};
     settle(a, true);
+  }
+
+  // Dry tail: no alive pair shares data, and since dots are bilinear,
+  // merging zero-dot clusters keeps every dot zero, so the rest of the
+  // reduction is the zero-sharing rule.  Each merge absorbs in merge
+  // order: member order feeds the next level's tie-breaks.
+  if (alive_count > target) {
+    std::vector<RankedComponent> comps;
+    comps.reserve(alive_count);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      if (alive(i)) {
+        comps.push_back(
+            RankedComponent{i, clusters[i].order_key, clusters[i].iterations});
+      }
+    }
+    merge_rank_adjacent(
+        std::move(comps), target, [&](std::uint32_t a, std::uint32_t b) {
+          MLSC_DEBUG("cluster merge: " << b << " -> " << a
+                                       << " (zero-sharing fallback), "
+                                       << clusters[a].members.size() << "+"
+                                       << clusters[b].members.size()
+                                       << " members");
+          clusters[a].absorb(std::move(clusters[b]));
+          into[b] = a;
+          ++stats.fallback_merges;
+        });
   }
 
   std::vector<Cluster> survivors;

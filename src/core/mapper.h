@@ -22,8 +22,8 @@ struct HierarchicalMapperOptions {
   double balance_threshold = 0.10;
   TaggingOptions tagging;
 
-  /// Clustering kernel selection (greedy oracle vs affinity forest) and
-  /// the forest's candidate filters; see ClusterOptions.
+  /// Clustering kernel selection (greedy oracle vs affinity forest); see
+  /// ClusterOptions.
   ClusterOptions clustering;
 
   /// Threads for tagging, clustering and balancing: 1 = serial (the

@@ -21,8 +21,7 @@ namespace {
 
 /// The client cache the intra-processor tiling targets: the capacity the
 /// tree gives its compute nodes (MachineConfig::build_tree puts
-/// client_cache_bytes on each).  A surviving topology zeroes a failed
-/// client's cache, so the largest is taken.
+/// client_cache_bytes on each; the largest is taken).
 std::uint64_t client_cache_bytes(const topology::HierarchyTree& tree) {
   std::uint64_t bytes = 0;
   for (const topology::NodeId id : tree.clients()) {
@@ -46,6 +45,13 @@ std::vector<ChunkDependence> nest_dependences(
 }
 
 }  // namespace
+
+void synchronize_mapping(MappingResult& mapping, const poly::Program& program,
+                         std::span<const poly::NestId> nests) {
+  insert_sync_edges(mapping,
+                    nest_dependences(program, nests, mapping.chunk_table),
+                    &program);
+}
 
 MappingPipeline::MappingPipeline(const topology::HierarchyTree& tree,
                                  PipelineOptions options)
@@ -100,13 +106,9 @@ MappingResult MappingPipeline::run(const poly::Program& program,
     schedule_mapping(mapping, tree_, options_.scheduler);
   }
 
-  // Dependence handling, strategy 2: the dependences are found on the
-  // final chunk table (the balancer's splits included) and resolved
-  // against the final placement.
+  // Dependence handling, strategy 2.
   if (options_.dependences == DependenceStrategy::kSynchronize) {
-    insert_sync_edges(mapping,
-                      nest_dependences(program, nests, mapping.chunk_table),
-                      &program);
+    synchronize_mapping(mapping, program, nests);
   }
   return mapping;
 }

@@ -40,8 +40,8 @@ struct PipelineOptions {
 
   TaggingOptions tagging;
 
-  /// Clustering kernel selection (greedy oracle vs affinity forest) and
-  /// the forest's candidate filters; see ClusterOptions.
+  /// Clustering kernel selection (greedy oracle vs affinity forest); see
+  /// ClusterOptions.
   ClusterOptions clustering;
 
   /// Threads for the mapping stages (tagging, clustering, balancing):
@@ -73,6 +73,15 @@ struct PipelineOptions {
   /// appended when the scheduling pass is on.
   std::string name() const;
 };
+
+/// The pipeline's §5.4 sync stage (DependenceStrategy::kSynchronize):
+/// finds the chunk dependences of `nests` on `mapping`'s final chunk
+/// table (the balancer's splits included) and resolves them against the
+/// final placement with insert_sync_edges, whose rank-order fallback is
+/// always feasible.  MappingPipeline::run calls it last; remap-on-failure
+/// calls it again after moving work between clients.
+void synchronize_mapping(MappingResult& mapping, const poly::Program& program,
+                         std::span<const poly::NestId> nests);
 
 class MappingPipeline {
  public:

@@ -81,7 +81,13 @@ Nanoseconds parse_spec_time(std::string_view text, const char* what) {
     throw Error(std::string("fault spec: bad time suffix on ") + what + " '" +
                 s + "' (use ns, us, ms or s)");
   }
-  return static_cast<Nanoseconds>(std::llround(value * scale));
+  // std::llround's range ends at 2^63; past it the result is unspecified.
+  const double ns = value * scale;
+  if (!(ns < 0x1p63)) {
+    throw Error(std::string("fault spec: ") + what + " '" + s +
+                "' is out of range (must be below 2^63 ns, about 292 years)");
+  }
+  return static_cast<Nanoseconds>(std::llround(ns));
 }
 
 /// A decimal integer of type T: digits only (no sign, no fraction, no

@@ -1,19 +1,18 @@
 #include "resilience/remap.h"
 
 #include <algorithm>
-#include <map>
+#include <numeric>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "obs/trace.h"
 
 namespace mlsc::resilience {
 
-RemapDecision decide_remap(const RemapPolicy& policy,
-                           const FaultSchedule& schedule,
+RemapDecision decide_remap(const FaultSchedule& schedule,
                            const topology::HierarchyTree& tree) {
   RemapDecision decision;
-  if (!policy.remap_on_failure) return decision;
   const FaultInjector end = fault_end_state(schedule, tree);
   for (const FaultEvent& event : schedule.events) {
     if (event.kind != FaultKind::kFailStop) continue;
@@ -43,16 +42,6 @@ bool drift_exceeded(const cache::CacheStats& baseline,
   return observed.miss_rate() - baseline.miss_rate() > kMissRateDrift;
 }
 
-topology::HierarchyTree surviving_topology(
-    const topology::HierarchyTree& tree, const FaultSchedule& schedule) {
-  const FaultInjector end = fault_end_state(schedule, tree);
-  topology::HierarchyTree surviving = tree;
-  for (topology::NodeId id = 0; id < tree.num_nodes(); ++id) {
-    if (end.failed(id)) surviving.set_cache_capacity(id, 0);
-  }
-  return surviving;
-}
-
 namespace {
 
 /// Client ranks whose path to the root crosses a node the schedule
@@ -75,9 +64,9 @@ std::vector<bool> affected_clients(const topology::HierarchyTree& tree,
 /// Moves every affected client's work items onto healthy clients,
 /// greedily appending each item to the currently least-loaded survivor
 /// (ties broken by rank) so the redistribution stays balanced and
-/// deterministic.  Sync edges follow their items; surviving clients'
-/// existing items keep their indices (moved items are appended).
-void redistribute_work(core::MappingResult& mapping,
+/// deterministic.  Returns false, moving nothing, when no client or
+/// every client is affected.
+bool redistribute_work(core::MappingResult& mapping,
                        const std::vector<bool>& affected) {
   std::vector<std::uint32_t> survivors;
   for (std::uint32_t c = 0; c < mapping.client_work.size(); ++c) {
@@ -86,65 +75,46 @@ void redistribute_work(core::MappingResult& mapping,
   // Nothing to move, or nowhere to move it (every client affected — e.g.
   // a whole-level fail-stop): keep the mapping as computed.
   if (survivors.empty() || survivors.size() == mapping.client_work.size()) {
-    return;
+    return false;
   }
 
   std::vector<std::uint64_t> load(mapping.client_work.size(), 0);
   for (std::uint32_t c = 0; c < mapping.client_work.size(); ++c) {
     load[c] = mapping.client_iterations(c);
   }
-
-  const auto item_key = [](std::uint32_t client, std::uint32_t item) {
-    return (static_cast<std::uint64_t>(client) << 32) | item;
-  };
-  std::map<std::uint64_t, std::pair<std::uint32_t, std::uint32_t>> moved;
-
   for (std::uint32_t c = 0; c < mapping.client_work.size(); ++c) {
     if (!affected[c]) continue;
-    auto& items = mapping.client_work[c];
-    for (std::uint32_t i = 0; i < items.size(); ++i) {
+    for (core::WorkItem& item : mapping.client_work[c]) {
       std::uint32_t best = survivors.front();
       for (const std::uint32_t s : survivors) {
         if (load[s] < load[best]) best = s;
       }
-      auto& dst = mapping.client_work[best];
-      moved[item_key(c, i)] = {best,
-                               static_cast<std::uint32_t>(dst.size())};
-      load[best] += items[i].iterations;
-      dst.push_back(std::move(items[i]));
+      load[best] += item.iterations;
+      mapping.client_work[best].push_back(std::move(item));
     }
-    items.clear();
-    load[c] = 0;
+    mapping.client_work[c].clear();
   }
-
-  for (core::SyncEdge& edge : mapping.sync_edges) {
-    const auto p = moved.find(item_key(edge.producer_client,
-                                       edge.producer_item));
-    if (p != moved.end()) {
-      edge.producer_client = p->second.first;
-      edge.producer_item = p->second.second;
-    }
-    const auto q = moved.find(item_key(edge.consumer_client,
-                                       edge.consumer_item));
-    if (q != moved.end()) {
-      edge.consumer_client = q->second.first;
-      edge.consumer_item = q->second.second;
-    }
-  }
+  return true;
 }
 
 }  // namespace
 
-core::MappingResult remap_mapping(const topology::HierarchyTree& surviving,
-                                  const FaultSchedule& schedule,
-                                  const core::PipelineOptions& options,
-                                  const poly::Program& program,
-                                  const core::DataSpace& space) {
+void remap_mapping(core::MappingResult& mapping,
+                   const topology::HierarchyTree& tree,
+                   const FaultSchedule& schedule,
+                   const core::PipelineOptions& options,
+                   const poly::Program& program) {
   obs::Span span("resilience.remap");
-  const core::MappingPipeline pipeline(surviving, options);
-  core::MappingResult mapping = pipeline.run_all(program, space);
-  redistribute_work(mapping, affected_clients(surviving, schedule));
-  return mapping;
+  if (!redistribute_work(mapping, affected_clients(tree, schedule))) return;
+  // The old sync edges name the old positions; the pipeline's sync stage
+  // derives the new ones from the moved placement.
+  mapping.sync_edges.clear();
+  if (options.mapper == core::MapperKind::kInterProcessor &&
+      options.dependences == core::DependenceStrategy::kSynchronize) {
+    std::vector<poly::NestId> nests(program.nests.size());
+    std::iota(nests.begin(), nests.end(), 0u);
+    core::synchronize_mapping(mapping, program, nests);
+  }
 }
 
 }  // namespace mlsc::resilience

@@ -28,18 +28,16 @@ ExperimentResult run_experiment(const workloads::Workload& workload,
   auto mapping = pipeline.run_all(workload.program, space);
 
   // Degraded replay: decide up front whether the schedule's failures
-  // warrant a remap; the remap run replays the survivor-topology mapping
-  // for the whole run (plus the remap's downtime as a stall), so the
+  // warrant a remap; the remap run replays the redistributed mapping for
+  // the whole run (plus the remap's downtime as a stall), so the
   // no-remap and remap runs face the identical fault schedule.
   std::optional<resilience::FaultInjector> injector;
   if (resilience != nullptr && !resilience->schedule.empty()) {
     resilience::FaultSchedule schedule = resilience->schedule;
-    const auto decision =
-        resilience::decide_remap(resilience->remap, schedule, tree);
-    if (decision.triggered) {
-      const auto surviving = resilience::surviving_topology(tree, schedule);
-      mapping = resilience::remap_mapping(surviving, schedule, scheme,
-                                          workload.program, space);
+    const auto decision = resilience::decide_remap(schedule, tree);
+    if (resilience->remap_on_failure && decision.triggered) {
+      resilience::remap_mapping(mapping, tree, schedule, scheme,
+                                workload.program);
       resilience::FaultEvent pause;
       pause.kind = resilience::FaultKind::kStall;
       pause.at = decision.at;

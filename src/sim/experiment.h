@@ -25,11 +25,12 @@ namespace mlsc::sim {
 struct ResilienceSpec {
   resilience::FaultSchedule schedule;
   resilience::RetryPolicy retry;
-  /// remap.remap_on_failure selects between plain degraded replay and
-  /// remap-on-failure: when a fail-stop is scheduled, the mapping is
-  /// recomputed over the surviving topology and the run is charged
+  /// Selects between plain degraded replay and remap-on-failure: when
+  /// the schedule leaves a node fail-stopped (resilience::decide_remap),
+  /// the mapping's work is moved off the affected clients
+  /// (resilience::remap_mapping) and the run is charged
   /// resilience::kRemapPauseNs of downtime at the trigger time.
-  resilience::RemapPolicy remap{.remap_on_failure = false};
+  bool remap_on_failure = false;
 };
 
 /// Measured traffic across the boundary below one cache level, next to
@@ -69,7 +70,7 @@ struct ExperimentResult {
 
   // Resilience outcome (defaults on healthy runs).
   std::string fault_summary;   // schedule actually replayed ("" = none)
-  bool remapped = false;       // mapping recomputed over survivors
+  bool remapped = false;       // work moved off failed clients
   std::string remap_reason;    // what triggered the remap
   Nanoseconds remap_pause = 0;  // downtime charged for the remap
 
@@ -78,8 +79,8 @@ struct ExperimentResult {
 
 /// Runs one (workload, scheme, machine) experiment.  `resilience`
 /// (optional) replays the run under its fault schedule; with
-/// remap-on-failure enabled the mapping is recomputed over the surviving
-/// topology and the remap's downtime is charged as a stall.
+/// remap-on-failure enabled the mapping's work is moved off the failed
+/// clients and the remap's downtime is charged as a stall.
 ExperimentResult run_experiment(const workloads::Workload& workload,
                                 const core::PipelineOptions& scheme,
                                 const MachineConfig& config,

@@ -56,11 +56,6 @@ const TreeNode& HierarchyTree::node(NodeId id) const {
   return nodes_[id];
 }
 
-void HierarchyTree::set_cache_capacity(NodeId id, std::uint64_t bytes) {
-  MLSC_CHECK(id < nodes_.size(), "unknown node " << id);
-  nodes_[id].cache_capacity_bytes = bytes;
-}
-
 const std::vector<NodeId>& HierarchyTree::level_nodes(
     std::uint32_t level) const {
   MLSC_CHECK(finalized_, "finalize() the tree before level queries");

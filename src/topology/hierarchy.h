@@ -71,12 +71,6 @@ class HierarchyTree {
   void finalize();
   bool finalized() const { return finalized_; }
 
-  /// Changes a node's cache capacity after finalization (fault injection:
-  /// a fail-stopped node carries no cache in the surviving topology).
-  /// The tree shape, client ranks and level indexes are untouched, so
-  /// mappings stay addressable; the mapper sees the new capacity.
-  void set_cache_capacity(NodeId id, std::uint64_t bytes);
-
   /// Multi-line rendering of the tree for diagnostics.
   std::string to_string() const;
 

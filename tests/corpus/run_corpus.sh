@@ -116,6 +116,10 @@ if [ -n "$churn" ]; then
     expect_usage_error "bench_churn --max-chunks=$cap" \
       "$churn" --max-chunks="$cap" --json=/dev/null
   done
+  # A thread count past kMaxThreads (1024) is refused before any thread
+  # starts.
+  expect_usage_error "bench_churn --threads=1025" \
+    "$churn" --threads=1025 --json=/dev/null
 fi
 
 if [ "$fail" -ne 0 ]; then

@@ -314,5 +314,22 @@ TEST(AffinityForest, CutSkipsReplayedMergesPastTheCap) {
   }
 }
 
+TEST(AffinityForest, MergeRankAdjacentRanksByOrderKeyThenId) {
+  // Rank order: 3 (key 5), then 1 and 4 (key 7, id breaks the tie), then
+  // 0 (key 9).  Combined totals of the adjacent pairs: 3+1 = 6, 1+4 = 6,
+  // 4+0 = 7; the leftmost smallest pair (3, 1) merges first, keeping id
+  // 1 in its slot with total 6.  Then (1, 4) = 9 and (4, 0) = 7: 4 and 0
+  // merge.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> merges;
+  merge_rank_adjacent({RankedComponent{0, 9, 4}, RankedComponent{1, 7, 3},
+                       RankedComponent{3, 5, 3}, RankedComponent{4, 7, 3}},
+                      2, [&](std::uint32_t kept, std::uint32_t absorbed) {
+                        merges.emplace_back(kept, absorbed);
+                      });
+  const std::vector<std::pair<std::uint32_t, std::uint32_t>> expected = {
+      {1, 3}, {0, 4}};
+  EXPECT_EQ(merges, expected);
+}
+
 }  // namespace
 }  // namespace mlsc::core

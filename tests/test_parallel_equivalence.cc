@@ -245,7 +245,7 @@ TEST(ParallelEquivalence, FaultedReplayIsThreadCountInvariant) {
     sim::ResilienceSpec resilience;
     resilience.schedule = resilience::parse_fault_spec(
         "fail@1ms:l2.0; transient@0:disk=0.02,net=0.001; seed=2010");
-    resilience.remap.remap_on_failure = remap;
+    resilience.remap_on_failure = remap;
 
     auto scheme = core::PipelineOptions::inter();
     scheme.num_threads = 1;

@@ -104,6 +104,25 @@ TEST(FaultSpec, TargetsAndSeedsAreExactIntegers) {
   EXPECT_EQ(schedule.seed, 0u);
 }
 
+TEST(FaultSpec, TimesStayBelow2To63Nanoseconds) {
+  // The largest double below 2^63 ns still parses, exactly; 2^63 ns and
+  // anything past it is out of range rather than saturated.
+  const auto schedule = parse_fault_spec("stall@0:9223372036854774784");
+  ASSERT_EQ(schedule.events.size(), 1u);
+  EXPECT_EQ(schedule.events[0].duration, Nanoseconds{9223372036854774784u});
+  for (const char* spec :
+       {"stall@0:9223372036854775808", "stall@0:9223372036.854775808s",
+        "fail@1e30ms:l2.0", "stall@0:1e30s", "stall@0:1e300s"}) {
+    try {
+      parse_fault_spec(spec);
+      ADD_FAILURE() << spec << " parsed";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 FaultEvent node_of(std::uint32_t level, std::int32_t index) {
   FaultEvent probe;
   probe.level = level;
@@ -203,7 +222,7 @@ sim::ExperimentResult run_faulted(const std::string& spec,
   sim::ResilienceSpec resilience;
   resilience.schedule = parse_fault_spec(spec);
   resilience.retry = retry;
-  resilience.remap.remap_on_failure = remap;
+  resilience.remap_on_failure = remap;
   return sim::run_experiment(workload, core::PipelineOptions::inter(),
                              tiny_machine(), &resilience);
 }
@@ -269,85 +288,150 @@ TEST(Remap, DriftFiresOnlyAboveTheThreshold) {
 
 TEST(Remap, DecisionTriggersOnFailStopOnly) {
   const auto tree = tiny_machine().build_tree();
-  RemapPolicy policy;
   EXPECT_FALSE(
-      decide_remap(policy, parse_fault_spec("degrade@1ms:l2.0:lat=2"), tree)
+      decide_remap(parse_fault_spec("degrade@1ms:l2.0:lat=2"), tree)
           .triggered);
-  const auto decision =
-      decide_remap(policy, parse_fault_spec("fail@3ms:l2.1"), tree);
+  const auto decision = decide_remap(parse_fault_spec("fail@3ms:l2.1"), tree);
   EXPECT_TRUE(decision.triggered);
   EXPECT_EQ(decision.at, 3 * kMillisecond);
   EXPECT_NE(decision.reason.find("level 2"), std::string::npos);
-  policy.remap_on_failure = false;
-  EXPECT_FALSE(
-      decide_remap(policy, parse_fault_spec("fail@3ms:l2.1"), tree)
-          .triggered);
 }
 
-TEST(Remap, SurvivingTopologyDropsFailedCaches) {
-  const auto tree = tiny_machine().build_tree();
-  const auto schedule =
-      parse_fault_spec("fail@1ms:l2.0; fail@2ms:l2.1; recover@5ms:l2.1");
-  const auto surviving = surviving_topology(tree, schedule);
+/// The healthy inter-processor mapping of `workload` on `config`.
+core::MappingResult healthy_mapping(const workloads::Workload& workload,
+                                    const sim::MachineConfig& config) {
+  const auto tree = config.build_tree();
+  const core::DataSpace space(workload.program, config.chunk_size_bytes);
+  return core::MappingPipeline(tree, core::PipelineOptions::inter())
+      .run_all(workload.program, space);
+}
+
+/// Ranks of the clients below the level-2 node `index`.
+std::set<std::size_t> clients_below_l2(const topology::HierarchyTree& tree,
+                                       std::int32_t index) {
   FaultEvent probe;
   probe.level = 2;
-  probe.node_index = 0;
-  const auto dead = resolve_fault_targets(tree, probe)[0];
-  probe.node_index = 1;
-  const auto alive = resolve_fault_targets(tree, probe)[0];
-  EXPECT_EQ(surviving.node(dead).cache_capacity_bytes, 0u);
-  EXPECT_GT(surviving.node(alive).cache_capacity_bytes, 0u);  // recovered
-  EXPECT_EQ(surviving.num_clients(), tree.num_clients());
+  probe.node_index = index;
+  std::set<std::size_t> ranks;
+  for (const topology::NodeId child :
+       tree.node(resolve_fault_targets(tree, probe)[0]).children) {
+    ranks.insert(tree.client_rank(child));
+  }
+  return ranks;
+}
+
+bool same_item(const core::WorkItem& a, const core::WorkItem& b) {
+  return a.nest == b.nest && a.chunk == b.chunk &&
+         a.iterations == b.iterations && a.ranges == b.ranges;
+}
+
+TEST(Remap, RecoveredNodesKeepTheirClientsWork) {
+  // l2.1 fails and recovers, so only the clients below l2.0 lose work.
+  const auto workload = workloads::make_workload("astro", 1.0 / 16.0);
+  const auto config = tiny_machine();
+  const auto tree = config.build_tree();
+  auto mapping = healthy_mapping(workload, config);
+  remap_mapping(mapping, tree,
+                parse_fault_spec(
+                    "fail@1ms:l2.0; fail@2ms:l2.1; recover@5ms:l2.1"),
+                core::PipelineOptions::inter(), workload.program);
+  const auto dead = clients_below_l2(tree, 0);
+  for (std::size_t c = 0; c < mapping.client_work.size(); ++c) {
+    EXPECT_EQ(mapping.client_work[c].empty(), dead.count(c) != 0)
+        << "client " << c;
+  }
 }
 
 TEST(Remap, RedistributesWorkOffAffectedClients) {
   const auto workload = workloads::make_workload("astro", 1.0 / 16.0);
   const auto config = tiny_machine();
   const auto tree = config.build_tree();
-  const core::DataSpace space(workload.program, config.chunk_size_bytes);
-  core::PipelineOptions options;
-  options.mapper = core::MapperKind::kInterProcessor;
-  const auto schedule = parse_fault_spec("fail@1ms:l2.0");
-  const auto surviving = surviving_topology(tree, schedule);
-  const auto mapping = remap_mapping(surviving, schedule, options,
-                                     workload.program, space);
+  const auto healthy = healthy_mapping(workload, config);
+  auto mapping = healthy;
+  remap_mapping(mapping, tree, parse_fault_spec("fail@1ms:l2.0"),
+                core::PipelineOptions::inter(), workload.program);
 
   // Clients under the failed I/O node end up with no work; the others
-  // carry everything, and no iteration is lost.
-  FaultEvent probe;
-  probe.level = 2;
-  probe.node_index = 0;
-  const auto dead = resolve_fault_targets(tree, probe)[0];
-  std::set<std::size_t> affected;
-  for (const topology::NodeId child : tree.node(dead).children) {
-    affected.insert(tree.client_rank(child));
-  }
+  // keep their own items, in order, as a prefix and carry everything,
+  // and no iteration is lost.
+  const auto affected = clients_below_l2(tree, 0);
   ASSERT_FALSE(affected.empty());
-  std::uint64_t total = 0;
+  std::size_t moved_out = 0;
+  std::size_t moved_in = 0;
   for (std::size_t c = 0; c < mapping.client_work.size(); ++c) {
+    const auto& before = healthy.client_work[c];
+    const auto& after = mapping.client_work[c];
     if (affected.count(c) != 0) {
-      EXPECT_TRUE(mapping.client_work[c].empty()) << "client " << c;
+      EXPECT_TRUE(after.empty()) << "client " << c;
+      moved_out += before.size();
+      continue;
     }
-    total += mapping.client_iterations(c);
+    ASSERT_GE(after.size(), before.size()) << "client " << c;
+    for (std::size_t i = 0; i < before.size(); ++i) {
+      EXPECT_TRUE(same_item(after[i], before[i]))
+          << "client " << c << " item " << i;
+    }
+    moved_in += after.size() - before.size();
   }
-  EXPECT_EQ(total, workload.program.total_iterations());
+  EXPECT_GT(moved_out, 0u);
+  EXPECT_EQ(moved_in, moved_out);
+  EXPECT_EQ(mapping.total_iterations(), workload.program.total_iterations());
   mapping.validate_partition(workload.program);
 }
 
 TEST(Remap, WholeLevelFailureKeepsMappingUsable) {
   // Every client affected: redistribution has nowhere to go and must
-  // leave the mapping intact rather than emptying it.
+  // leave the mapping as it was rather than emptying it.
   const auto workload = workloads::make_workload("astro", 1.0 / 16.0);
   const auto config = tiny_machine();
   const auto tree = config.build_tree();
-  const core::DataSpace space(workload.program, config.chunk_size_bytes);
-  core::PipelineOptions options;
-  options.mapper = core::MapperKind::kInterProcessor;
-  const auto schedule = parse_fault_spec("fail@1ms:l2");
-  const auto surviving = surviving_topology(tree, schedule);
-  const auto mapping = remap_mapping(surviving, schedule, options,
-                                     workload.program, space);
-  EXPECT_EQ(mapping.total_iterations(), workload.program.total_iterations());
+  const auto healthy = healthy_mapping(workload, config);
+  auto mapping = healthy;
+  remap_mapping(mapping, tree, parse_fault_spec("fail@1ms:l2"),
+                core::PipelineOptions::inter(), workload.program);
+  for (std::size_t c = 0; c < mapping.client_work.size(); ++c) {
+    ASSERT_EQ(mapping.client_work[c].size(), healthy.client_work[c].size());
+    for (std::size_t i = 0; i < healthy.client_work[c].size(); ++i) {
+      EXPECT_TRUE(same_item(mapping.client_work[c][i],
+                            healthy.client_work[c][i]));
+    }
+  }
+}
+
+TEST(Remap, DependentAppsReplayToCompletion) {
+  // e_elem and apsi are the registry apps with sync edges: the moved
+  // placement gets its own edges from the pipeline's sync stage, so the
+  // replay finishes instead of waiting on a cycle.
+  const auto config = tiny_machine();
+  const auto tree = config.build_tree();
+  const auto affected = clients_below_l2(tree, 0);
+  for (const char* app : {"e_elem", "apsi"}) {
+    SCOPED_TRACE(app);
+    const auto workload = workloads::make_workload(app, 1.0 / 16.0);
+    auto mapping = healthy_mapping(workload, config);
+    ASSERT_FALSE(mapping.sync_edges.empty());
+    remap_mapping(mapping, tree, parse_fault_spec("fail@2ms:l2.0"),
+                  core::PipelineOptions::inter(), workload.program);
+    for (const std::size_t c : affected) {
+      EXPECT_TRUE(mapping.client_work[c].empty()) << "client " << c;
+    }
+    mapping.validate_partition(workload.program);
+    EXPECT_FALSE(mapping.sync_edges.empty());
+    for (const core::SyncEdge& edge : mapping.sync_edges) {
+      ASSERT_LT(edge.producer_item,
+                mapping.client_work[edge.producer_client].size());
+      ASSERT_LT(edge.consumer_item,
+                mapping.client_work[edge.consumer_client].size());
+    }
+
+    sim::ResilienceSpec resilience;
+    resilience.schedule = parse_fault_spec("fail@2ms:l2.0; seed=5");
+    resilience.remap_on_failure = true;
+    const auto run = sim::run_experiment(
+        workload, core::PipelineOptions::inter(), config, &resilience);
+    EXPECT_TRUE(run.remapped);
+    EXPECT_GT(run.sync_edges, 0u);
+  }
 }
 
 TEST(Remap, ExperimentReportsRemapOutcome) {
@@ -365,8 +449,8 @@ TEST(Remap, ExperimentReportsRemapOutcome) {
 
 // --- one reading of a schedule ---------------------------------------------
 // Every consumer of a fault schedule — the service's alive set and drift
-// replay schedule, the survivor topology, the remap trigger — must agree
-// with the injector's end state.
+// replay schedule, the remap's affected clients, the remap trigger — must
+// agree with the injector's end state.
 
 TEST(FaultEndState, WholeLevelFailThenNodeRecover) {
   // Only client 0 comes back; the other three stay failed.
@@ -377,10 +461,13 @@ TEST(FaultEndState, WholeLevelFailThenNodeRecover) {
   EXPECT_FALSE(state.apply_faults(schedule).has_value());
   EXPECT_EQ(state.client_alive(),
             (std::vector<bool>{true, false, false, false}));
-  const auto surviving = surviving_topology(tree, schedule);
+  // The remap moves the three failed clients' work onto client 0.
+  const auto workload = workloads::make_workload("astro", 1.0 / 16.0);
+  auto mapping = healthy_mapping(workload, config);
+  remap_mapping(mapping, tree, schedule, core::PipelineOptions::inter(),
+                workload.program);
   for (std::size_t rank = 0; rank < tree.num_clients(); ++rank) {
-    EXPECT_EQ(surviving.node(tree.clients()[rank]).cache_capacity_bytes == 0,
-              rank != 0)
+    EXPECT_EQ(mapping.client_work[rank].empty(), rank != 0)
         << "client " << rank;
   }
 }
@@ -405,7 +492,7 @@ TEST(FaultEndState, FailThenDegradeStaysFailed) {
 TEST(FaultEndState, RecoveredFailStopDoesNotTriggerRemap) {
   const auto tree = tiny_machine().build_tree();
   const auto schedule = parse_fault_spec("fail@1ms:l2.0; recover@2ms:l2.0");
-  EXPECT_FALSE(decide_remap(RemapPolicy{}, schedule, tree).triggered);
+  EXPECT_FALSE(decide_remap(schedule, tree).triggered);
   const auto run =
       run_faulted("fail@1ms:l2.0; recover@2ms:l2.0; seed=5", true);
   EXPECT_FALSE(run.remapped);
@@ -453,6 +540,8 @@ TEST(FaultEndState, RandomSchedulesAgreeWithInjector) {
   sim::MachineConfig config = tiny_machine();
   config.storage_nodes = 2;  // a dummy root above two storage nodes
   const auto tree = config.build_tree();
+  const auto workload = workloads::make_workload("astro", 1.0 / 16.0);
+  const auto healthy = healthy_mapping(workload, config);
   Rng rng(20);
   std::size_t accepted = 0;
   for (int trial = 0; trial < 400; ++trial) {
@@ -501,17 +590,28 @@ TEST(FaultEndState, RandomSchedulesAgreeWithInjector) {
       EXPECT_EQ(replay.net_error_rate(), end.net_error_rate());
     }
 
-    // (b) The survivor topology zeroes exactly the failed nodes.
-    const auto surviving = surviving_topology(tree, schedule);
-    for (topology::NodeId id = 0; id < tree.num_nodes(); ++id) {
-      EXPECT_EQ(surviving.node(id).cache_capacity_bytes,
-                end.failed(id) ? 0 : tree.node(id).cache_capacity_bytes)
-          << "node " << id;
+    // (b) The remap empties exactly the clients whose root path crosses
+    // a failed node, unless that is every client.
+    std::vector<bool> affected(tree.num_clients());
+    std::size_t num_affected = 0;
+    for (std::size_t rank = 0; rank < tree.num_clients(); ++rank) {
+      for (const topology::NodeId id :
+           tree.path_to_root(tree.clients()[rank])) {
+        affected[rank] = affected[rank] || end.failed(id);
+      }
+      num_affected += affected[rank] ? 1 : 0;
+    }
+    auto mapping = healthy;
+    remap_mapping(mapping, tree, schedule, core::PipelineOptions::inter(),
+                  workload.program);
+    for (std::size_t rank = 0; rank < tree.num_clients(); ++rank) {
+      const bool emptied = num_affected < tree.num_clients() && affected[rank];
+      EXPECT_EQ(mapping.client_work[rank].empty(), emptied)
+          << "client " << rank;
     }
 
     // (d) The remap triggers exactly when something stays failed.
-    EXPECT_EQ(decide_remap(RemapPolicy{}, schedule, tree).triggered,
-              any_failed);
+    EXPECT_EQ(decide_remap(schedule, tree).triggered, any_failed);
   }
   EXPECT_GT(accepted, 200u);
 }

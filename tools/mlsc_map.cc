@@ -11,7 +11,7 @@
 // Usage:
 //   mlsc_map [--workload NAME] [--scheme original|intra|inter|sched]
 //            [--clients N] [--io N] [--storage N]
-//            [--chunk BYTES] [--policy lru|fifo|clock|lfu|2q|mq]
+//            [--chunk BYTES] [--policy lru|fifo|clock|lfu|2q|mq|arc]
 //            [--placement access|eviction|exclusive]
 //            [--balance FRACTION] [--alpha A] [--beta B]
 //            [--write-back] [--cooperative] [--readahead N]
@@ -63,7 +63,7 @@ void print_usage(std::ostream& out, const char* argv0) {
       << "  --scheme KIND       original | intra | inter | sched (default inter)\n"
       << "  --clients/--io/--storage N   topology (default 64/32/16)\n"
       << "  --chunk BYTES       data chunk size (default 65536)\n"
-      << "  --policy NAME       lru|fifo|clock|lfu|2q|mq (default lru)\n"
+      << "  --policy NAME       lru|fifo|clock|lfu|2q|mq|arc (default lru)\n"
       << "  --placement NAME    access|eviction|exclusive (default access)\n"
       << "  --balance F         BThres fraction (default 0.10)\n"
       << "  --alpha A --beta B  scheduler weights (default 0.5/0.5)\n"
@@ -84,10 +84,10 @@ void print_usage(std::ostream& out, const char* argv0) {
       << "  --faults SPEC       fault schedule spec string, e.g.\n"
       << "                      'fail@5ms:l2.0;transient@0:disk=0.01;"
          "seed=42'\n"
-      << "  --remap             remap-on-failure: recompute the mapping "
-         "over the\n"
-      << "                      surviving topology when the schedule "
-         "fail-stops a node\n"
+      << "  --remap             remap-on-failure: move the work of clients "
+         "behind a node\n"
+      << "                      the schedule leaves fail-stopped onto "
+         "healthy clients\n"
       << CommonToolOptions::usage(/*with_reps=*/false, /*with_explain=*/true)
       << "  --report KIND       stats|full|bound|compare|mapping|codegen|csv "
          "(default stats)\n";
@@ -230,7 +230,7 @@ int main(int argc, char** argv) {
 
     if (!faults_arg.empty()) {
       rspec.schedule = resilience::parse_fault_spec(faults_arg);
-      rspec.remap.remap_on_failure = remap;
+      rspec.remap_on_failure = remap;
       have_faults = true;
     } else if (remap) {
       throw UsageError("--remap requires --faults");
